@@ -6,9 +6,8 @@
      dune exec bench/main.exe -- table3          CRUSADE-FT with/without reconfiguration
      dune exec bench/main.exe -- figures         Fig. 2 / Fig. 4 walkthroughs
      dune exec bench/main.exe -- bench           Bechamel micro-benchmarks
-     dune exec bench/main.exe -- speedup         wall-clock scaling at jobs = 1, 2, 4, ...
      dune exec bench/main.exe -- scenarios       warm re-synthesis under change vs from scratch
-     dune exec bench/main.exe -- all [--scale N] everything except speedup (default)
+     dune exec bench/main.exe -- all [--scale N] everything (default)
 
    scenarios runs the change matrix {graph-arrival, upgrade, pe-fail,
    drift} x presets: deploy a base architecture, apply the change with
@@ -24,10 +23,9 @@
    (default 8; use --scale 1 to reproduce the full paper sizes, which
    takes over an hour of single-core time).
 
-   --jobs N runs every synthesis with N domains evaluating allocation
-   candidates and merge trials in parallel (results are bit-identical to
-   --jobs 1; also the CRUSADE_JOBS env var).  For the speedup subcommand
-   it sets the largest jobs count measured (default 4).
+   --jobs N spreads each --portfolio run's trajectories over up to N
+   domains (also the CRUSADE_JOBS env var); a single synthesis always
+   runs on one domain, so results never depend on it.
 
    --no-prune / --no-memo / --no-incremental disable the evaluator
    stages (the stage-1 tardiness lower bound, the stage-2 schedule memo
@@ -219,7 +217,7 @@ type scenario_record = {
 
 let scenario_records : scenario_record list ref = ref []
 
-let write_bench_json ~prune ~memo ~incremental ~incremental_merge path =
+let write_bench_json ~prune ~memo ~incremental path =
   let entries = List.rev !bench_records in
   let oc = open_out path in
   let b = Buffer.create 4096 in
@@ -228,8 +226,6 @@ let write_bench_json ~prune ~memo ~incremental ~incremental_merge path =
   Buffer.add_string b (Printf.sprintf "  \"prune\": %b,\n" prune);
   Buffer.add_string b (Printf.sprintf "  \"memo\": %b,\n" memo);
   Buffer.add_string b (Printf.sprintf "  \"incremental\": %b,\n" incremental);
-  Buffer.add_string b
-    (Printf.sprintf "  \"incremental_merge\": %b,\n" incremental_merge);
   Buffer.add_string b "  \"entries\": [";
   List.iteri
     (fun i e ->
@@ -311,14 +307,14 @@ let write_bench_json ~prune ~memo ~incremental ~incremental_merge path =
    pre-portfolio harness) or as an N-trajectory portfolio whose winner —
    with the portfolio counters folded into its eval_stats — is recorded
    with whole-portfolio wall/cpu seconds. *)
-let run_flow ~portfolio ~jobs ~options ~flow ~cost ~met =
+let run_flow ~portfolio ~options ~flow ~cost ~met =
   if portfolio = 1 then
     match flow options with
     | Ok r -> Ok (r, None)
     | Error msg -> Error msg
   else begin
     let w0 = Unix.gettimeofday () and c0 = Sys.time () in
-    match C.Portfolio.run ~jobs ~n:portfolio ~options ~flow ~cost ~met () with
+    match C.Portfolio.run ~n:portfolio ~options ~flow ~cost ~met () with
     | Ok o ->
         let wall = Unix.gettimeofday () -. w0 and cpu = Sys.time () -. c0 in
         let info =
@@ -336,8 +332,8 @@ let run_flow ~portfolio ~jobs ~options ~flow ~cost ~met =
     | Error msg -> Error msg
   end
 
-let synth_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
-    ~scale ~table ~example spec lib reconfig =
+let synth_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale ~table ~example
+    spec lib reconfig =
   let options =
     {
       C.default_options with
@@ -346,12 +342,11 @@ let synth_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
       prune;
       memo;
       incremental;
-      incremental_merge;
       trace = !trace_sink;
     }
   in
   match
-    run_flow ~portfolio ~jobs ~options
+    run_flow ~portfolio ~options
       ~flow:(fun o -> C.synthesize ~options:o spec lib)
       ~cost:(fun (r : C.result) -> r.C.cost)
       ~met:(fun (r : C.result) -> r.C.deadlines_met)
@@ -378,8 +373,8 @@ let synth_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
       (r.C.n_pes, r.C.n_links, r.C.cpu_seconds, r.C.cost, r.C.deadlines_met)
   | Error msg -> failwith msg
 
-let ft_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio ~scale
-    ~table ~example spec lib reconfig =
+let ft_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale ~table ~example
+    spec lib reconfig =
   let options =
     {
       C.default_options with
@@ -388,12 +383,11 @@ let ft_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio ~scale
       prune;
       memo;
       incremental;
-      incremental_merge;
       trace = !trace_sink;
     }
   in
   match
-    run_flow ~portfolio ~jobs ~options
+    run_flow ~portfolio ~options
       ~flow:(fun o -> F.synthesize ~options:o spec lib)
       ~cost:(fun (r : F.result) -> r.F.total_cost)
       ~met:(fun (r : F.result) -> r.F.core.C.deadlines_met)
@@ -476,32 +470,30 @@ let comparison_table ~title ~paper ~scale ~only ~row_of =
        ~header rows);
   print_newline ()
 
-let table2 ~scale ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
-    ~only () =
+let table2 ~scale ~jobs ~prune ~memo ~incremental ~portfolio ~only () =
   comparison_table
     ~title:"Table 2: efficacy of CRUSADE (- without / + with dynamic reconfiguration)"
     ~paper:paper_table2 ~scale ~only
     ~row_of:
-      (synth_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
-         ~scale ~table:"table2")
+      (synth_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale
+         ~table:"table2")
 
-let table3 ~scale ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
-    ~only () =
+let table3 ~scale ~jobs ~prune ~memo ~incremental ~portfolio ~only () =
   comparison_table
     ~title:
       "Table 3: efficacy of CRUSADE-FT (- without / + with dynamic reconfiguration)"
     ~paper:paper_table3 ~scale ~only
     ~row_of:
-      (ft_row ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
-         ~scale ~table:"table3")
+      (ft_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale
+         ~table:"table3")
 
-let figures ~prune ~memo ~incremental ~incremental_merge () =
+let figures ~prune ~memo ~incremental () =
   print_endline "== Fig. 2 motivation example (small library) ==";
   let lib = Crusade_resource.Library.small () in
   let spec = Ex.figure2 lib in
   let fig_row =
-    synth_row ~jobs:1 ~prune ~memo ~incremental ~incremental_merge ~portfolio:1
-      ~scale:1 ~table:"figures" ~example:"figure2"
+    synth_row ~jobs:1 ~prune ~memo ~incremental ~portfolio:1 ~scale:1
+      ~table:"figures" ~example:"figure2"
   in
   let p0, l0, _, c0, _ = fig_row spec lib false in
   let p1, l1, _, c1, _ = fig_row spec lib true in
@@ -520,7 +512,6 @@ let figures ~prune ~memo ~incremental ~incremental_merge () =
       prune;
       memo;
       incremental;
-      incremental_merge;
       trace = !trace_sink;
     }
   in
@@ -620,61 +611,6 @@ let ablation () =
        ~header:[ "variant"; "PEs"; "links"; "images"; "cost ($)"; "deadlines"; "cpu (s)" ]
        rows);
   print_newline ()
-
-(* Wall-clock scaling of one synthesis as the domain count doubles; the
-   cost/PE/link/image columns double as a visible determinism check —
-   every row must be identical to the jobs = 1 row. *)
-let speedup ~max_jobs () =
-  print_endline
-    "== Wall-clock speedup (A1TR at 1/8 scale, dynamic reconfiguration on) ==";
-  let lib = Crusade_resource.Library.stock () in
-  let spec = W.generate lib (W.scaled (W.preset "A1TR") 8.0) in
-  let rec doublings j acc = if j > max_jobs then List.rev acc else doublings (2 * j) (j :: acc) in
-  let runs =
-    List.map
-      (fun jobs ->
-        let options = { C.default_options with C.jobs } in
-        match C.synthesize ~options spec lib with
-        | Ok r -> (jobs, r)
-        | Error msg -> failwith msg)
-      (doublings 1 [])
-  in
-  let base_wall =
-    match runs with (_, r) :: _ -> r.C.wall_seconds | [] -> assert false
-  in
-  let rows =
-    List.map
-      (fun (jobs, r) ->
-        [
-          string_of_int jobs;
-          T.fmt_float ~decimals:2 r.C.wall_seconds;
-          T.fmt_float ~decimals:2 r.C.cpu_seconds;
-          T.fmt_float ~decimals:2 (base_wall /. r.C.wall_seconds) ^ "x";
-          string_of_int r.C.n_pes;
-          string_of_int r.C.n_links;
-          string_of_int r.C.n_modes;
-          T.fmt_dollars r.C.cost;
-        ])
-      runs
-  in
-  print_string
-    (T.render
-       ~align:[ Right; Right; Right; Right; Right; Right; Right; Right ]
-       ~header:
-         [ "jobs"; "wall (s)"; "cpu (s)"; "speedup"; "PEs"; "links"; "images"; "cost ($)" ]
-       rows);
-  let deterministic =
-    match runs with
-    | (_, first) :: rest ->
-        List.for_all
-          (fun (_, r) ->
-            r.C.cost = first.C.cost && r.C.n_pes = first.C.n_pes
-            && r.C.n_links = first.C.n_links && r.C.n_modes = first.C.n_modes)
-          rest
-    | [] -> true
-  in
-  Printf.printf "determinism across jobs: %s\n\n"
-    (if deterministic then "identical results" else "MISMATCH (bug!)")
 
 (* The change matrix: deploy, repair warm with Resynth, synthesize the
    post-change workload cold, and compare.  Drift is measured but not
@@ -849,7 +785,6 @@ let () =
   let prune = not (List.mem "--no-prune" args) in
   let memo = not (List.mem "--no-memo" args) in
   let incremental = not (List.mem "--no-incremental" args) in
-  let incremental_merge = not (List.mem "--no-incremental-merge" args) in
   let only =
     match string_flag "--only" "" with
     | "" -> []
@@ -879,28 +814,22 @@ let () =
               List.mem a
                 [
                   "table1"; "table2"; "table3"; "figures"; "bench"; "ablation";
-                  "speedup"; "scenarios";
+                  "scenarios";
                 ])
             args)
   in
-  if wants "figures" then figures ~prune ~memo ~incremental ~incremental_merge ();
+  if wants "figures" then figures ~prune ~memo ~incremental ();
   if wants "table1" then table1 ();
   if wants "table2" then
-    table2 ~scale ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
-      ~only ();
+    table2 ~scale ~jobs ~prune ~memo ~incremental ~portfolio ~only ();
   if wants "table3" then
-    table3 ~scale ~jobs ~prune ~memo ~incremental ~incremental_merge ~portfolio
-      ~only ();
+    table3 ~scale ~jobs ~prune ~memo ~incremental ~portfolio ~only ();
   if wants "ablation" then ablation ();
   if wants "scenarios" then
     scenarios ~scale ~only ~gate_warm:(List.mem "--gate-warm" args) ();
   if wants "bench" then bechamel_benches ();
-  (* speedup re-runs the same synthesis at every jobs count, so it only
-     runs when asked for explicitly. *)
-  if List.mem "speedup" args then
-    speedup ~max_jobs:(int_flag "--jobs" 4) ();
   if !bench_records <> [] || !scenario_records <> [] then
-    write_bench_json ~prune ~memo ~incremental ~incremental_merge bench_out;
+    write_bench_json ~prune ~memo ~incremental bench_out;
   match (trace_out, !trace_sink) with
   | Some path, Some t ->
       Crusade_util.Trace.write_file t path;

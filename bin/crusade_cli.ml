@@ -97,8 +97,9 @@ let trace_arg =
 
 let portfolio_arg =
   let doc =
-    "Run $(docv) perturbed synthesis trajectories in parallel and keep the \
-     cheapest feasible result (0 = one trajectory per available domain).  \
+    "Run $(docv) perturbed synthesis trajectories, spread over up to \
+     $(b,CRUSADE_JOBS) domains (default 1), and keep the cheapest feasible \
+     result (0 = one trajectory per available domain).  \
      Trajectory 0 is the unperturbed flow, so the portfolio never returns a \
      worse architecture than the plain run; 1 (the default) is the plain run \
      itself, bit for bit."
@@ -165,15 +166,6 @@ let no_incremental_arg =
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 
-let no_incremental_merge_arg =
-  let doc =
-    "Disable the incremental merge phase (sequential merge trials as \
-     journaled in-place deltas on the live architecture instead of per-trial \
-     deep copies).  Results are bit-identical with it on or off; only the \
-     synthesis time moves.  Escape hatch and A/B lever."
-  in
-  Arg.(value & flag & info [ "no-incremental-merge" ] ~doc)
-
 let audit_arg =
   let doc =
     "After synthesis, re-derive every architecture and schedule invariant \
@@ -201,14 +193,12 @@ let audit_exit ~audit violations base_exit =
         3
   end
 
-let options_with ~no_reconfig ~no_incremental ~no_incremental_merge ~copy_cap
-    ~eval_window ~trace =
+let options_with ~no_reconfig ~no_incremental ~copy_cap ~eval_window ~trace =
   let opts =
     {
       C.default_options with
       dynamic_reconfiguration = not no_reconfig;
       incremental = not no_incremental;
-      incremental_merge = not no_incremental_merge;
     }
   in
   let opts =
@@ -232,8 +222,8 @@ let with_trace trace_file k =
       | _ -> ())
     (fun () -> k trace)
 
-let synth_run name scale no_reconfig no_incremental no_incremental_merge
-    copy_cap eval_window seed trace_file audit portfolio budget_ms quality =
+let synth_run name scale no_reconfig no_incremental copy_cap eval_window seed
+    trace_file audit portfolio budget_ms quality =
   match spec_of_name ?seed name scale with
   | Error msg ->
       prerr_endline msg;
@@ -241,8 +231,8 @@ let synth_run name scale no_reconfig no_incremental no_incremental_merge
   | Ok (spec, lib) ->
       with_trace trace_file (fun trace ->
           let options =
-            options_with ~no_reconfig ~no_incremental ~no_incremental_merge
-              ~copy_cap ~eval_window ~trace
+            options_with ~no_reconfig ~no_incremental ~copy_cap ~eval_window
+              ~trace
           in
           let n = resolve_portfolio portfolio quality in
           if n = 1 && budget_ms = None then
@@ -282,8 +272,8 @@ let synth_run name scale no_reconfig no_incremental no_incremental_merge
                 prerr_endline msg;
                 1)
 
-let ft_run name scale no_reconfig no_incremental no_incremental_merge copy_cap
-    eval_window seed trace_file audit portfolio budget_ms quality =
+let ft_run name scale no_reconfig no_incremental copy_cap eval_window seed
+    trace_file audit portfolio budget_ms quality =
   match spec_of_name ?seed name scale with
   | Error msg ->
       prerr_endline msg;
@@ -291,8 +281,7 @@ let ft_run name scale no_reconfig no_incremental no_incremental_merge copy_cap
   | Ok (spec, lib) ->
       with_trace trace_file (fun trace ->
       let options =
-        options_with ~no_reconfig ~no_incremental ~no_incremental_merge
-          ~copy_cap ~eval_window ~trace
+        options_with ~no_reconfig ~no_incremental ~copy_cap ~eval_window ~trace
       in
       let report (r : F.result) portfolio_outcome =
         Format.printf "%a@." C.pp_report r.F.core;
@@ -395,16 +384,16 @@ let synth_cmd =
   Cmd.v (Cmd.info "synth" ~doc)
     Term.(
       const synth_run $ name_arg $ scale_arg $ reconfig_arg $ no_incremental_arg
-      $ no_incremental_merge_arg $ copy_cap_arg $ eval_window_arg $ seed_arg
-      $ trace_arg $ audit_arg $ portfolio_arg $ budget_ms_arg $ quality_arg)
+      $ copy_cap_arg $ eval_window_arg $ seed_arg $ trace_arg $ audit_arg
+      $ portfolio_arg $ budget_ms_arg $ quality_arg)
 
 let ft_cmd =
   let doc = "co-synthesize a fault-tolerant architecture (CRUSADE-FT)" in
   Cmd.v (Cmd.info "ft" ~doc)
     Term.(
       const ft_run $ name_arg $ scale_arg $ reconfig_arg $ no_incremental_arg
-      $ no_incremental_merge_arg $ copy_cap_arg $ eval_window_arg $ seed_arg
-      $ trace_arg $ audit_arg $ portfolio_arg $ budget_ms_arg $ quality_arg)
+      $ copy_cap_arg $ eval_window_arg $ seed_arg $ trace_arg $ audit_arg
+      $ portfolio_arg $ budget_ms_arg $ quality_arg)
 
 let delay_cmd =
   let doc = "run the ERUF/EPUF delay-management sweep for a Table 1 circuit" in
@@ -441,31 +430,38 @@ let report_run name scale fmt_kind =
           | other -> Printf.eprintf "unknown format %s\n" other);
           0)
 
+(* The base is synthesized without the upgrade graphs, then the feature
+   release arrives as a [Resynth] field-upgrade change. *)
 let upgrade_run audit =
   let lib = Crusade_resource.Library.small () in
   let spec, upgrade_graphs = Ex.upgrade_scenario lib in
-  match Crusade.Upgrade.analyze spec lib ~upgrade_graphs with
+  match
+    Result.bind
+      (C.synthesize
+         ~include_graph:(fun g -> not (List.mem g upgrade_graphs))
+         spec lib)
+      (fun base -> C.Resynth.apply base (C.Resynth.Upgrade upgrade_graphs))
+  with
   | Error msg ->
       prerr_endline msg;
       1
-  | Ok ({ Crusade.Upgrade.base; verdict; _ } as report) ->
+  | Ok rep ->
+      let base = rep.C.Resynth.deployed in
       Format.printf "deployed: %a@." C.pp_report base;
+      Format.printf "%a@." C.Resynth.pp_report rep;
       let base_exit =
-        match verdict with
-        | Crusade.Upgrade.Reprogramming_only { added_images; _ } ->
-            Format.printf "upgrade ships as %d configuration image(s)@."
-              added_images;
-            0
-        | Crusade.Upgrade.Needs_hardware { added_pes; added_cost; _ } ->
-            Format.printf "upgrade needs %d new PE(s), +$%.0f@." added_pes
-              added_cost;
-            0
-        | Crusade.Upgrade.Infeasible msg ->
-            Format.printf "upgrade infeasible: %s@." msg;
-            2
+        match rep.C.Resynth.verdict with
+        | C.Resynth.Images_only _ | C.Resynth.Needs_hardware _ -> 0
+        | C.Resynth.Infeasible -> 2
       in
       audit_exit ~audit
-        (if audit then Crusade.Upgrade.audit report else [])
+        (if audit then
+           C.audit
+             ~include_graph:
+               (C.Resynth.expected_graphs base (C.Resynth.Upgrade []))
+             base
+           @ C.Resynth.audit_report rep
+         else [])
         base_exit
 
 (* ---- resynth: warm re-synthesis under a change event ---- *)
@@ -622,8 +618,8 @@ let scratch_of_change options spec lib change =
       | Error _ as e -> e)
 
 let resynth_run name scale change_kind graphs pe drift_pct change_json
-    no_reconfig no_incremental no_incremental_merge copy_cap eval_window seed
-    trace_file audit compare =
+    no_reconfig no_incremental copy_cap eval_window seed trace_file audit
+    compare =
   match change_of_flags ~change_kind ~graphs ~pe ~drift_pct ~change_json with
   | Error msg ->
       prerr_endline msg;
@@ -636,8 +632,8 @@ let resynth_run name scale change_kind graphs pe drift_pct change_json
       | Ok (spec, lib) ->
           with_trace trace_file (fun trace ->
               let options =
-                options_with ~no_reconfig ~no_incremental ~no_incremental_merge
-                  ~copy_cap ~eval_window ~trace
+                options_with ~no_reconfig ~no_incremental ~copy_cap
+                  ~eval_window ~trace
               in
               (* Arrivals/upgrades are deployed without the arriving
                  graphs; every other change starts from the full system. *)
@@ -776,8 +772,8 @@ let resynth_cmd =
     Term.(
       const resynth_run $ name_arg $ scale_arg $ change_kind_arg $ graphs_arg
       $ pe_arg $ drift_pct_arg $ change_json_arg $ reconfig_arg
-      $ no_incremental_arg $ no_incremental_merge_arg $ copy_cap_arg
-      $ eval_window_arg $ seed_arg $ trace_arg $ audit_arg $ compare_arg)
+      $ no_incremental_arg $ copy_cap_arg $ eval_window_arg $ seed_arg
+      $ trace_arg $ audit_arg $ compare_arg)
 
 let spec_cmd =
   let doc =

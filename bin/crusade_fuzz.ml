@@ -2,9 +2,8 @@
 
    Seeds drive [Comm_system.generate] parameters; every seed is
    synthesized under the full evaluator-configuration matrix
-   ({prune,memo} on/off x incremental rescheduling on/off x incremental
-   merge on/off x jobs 1/N x dynamic reconfiguration on/off) and the
-   harness asserts that
+   ({prune,memo} on/off x incremental rescheduling on/off x dynamic
+   reconfiguration on/off) and the harness asserts that
 
    (a) within each reconfiguration flavor, every evaluator configuration
        produces a bit-identical result (cost, counts, verdict and the
@@ -17,7 +16,8 @@
        winner passes the audit, is never worse than the unperturbed
        trajectory 0, and is identical with the shared incumbent bound
        on or off (so bound aborts provably never kill a would-be
-       winner);
+       winner); the portfolio runs at --jobs N, spreading its
+       trajectories over N domains;
    (b'') on the reconfiguration flavor, a serve axis: the spec pushed
        through the in-process job server (DSL text in, JSON result out)
        is byte-identical to [Core.result_json] of the direct flow, and
@@ -150,20 +150,19 @@ type config = {
   prune : bool;
   memo : bool;
   inc : bool;  (* incremental rescheduling *)
-  inc_merge : bool;  (* in-place journaled merge trials *)
   jobs : int;
 }
 
 let json_config c =
   Printf.sprintf
     "{\"reconfig\": %b, \"prune\": %b, \"memo\": %b, \"incremental\": %b, \
-     \"incremental_merge\": %b, \"jobs\": %d}"
-    c.reconfig c.prune c.memo c.inc c.inc_merge c.jobs
+     \"jobs\": %d}"
+    c.reconfig c.prune c.memo c.inc c.jobs
 
 let describe_config c =
   Printf.sprintf
-    "reconfig=%b prune=%b memo=%b incremental=%b incremental_merge=%b jobs=%d"
-    c.reconfig c.prune c.memo c.inc c.inc_merge c.jobs
+    "reconfig=%b prune=%b memo=%b incremental=%b jobs=%d"
+    c.reconfig c.prune c.memo c.inc c.jobs
 
 (* One failure is enough: the repro is minimized by construction (a
    single seed, its generator parameters and the offending
@@ -207,18 +206,15 @@ let params_of_seed seed =
     cpld_fraction = Rng.float rng 0.2;
   }
 
-let configs_of ~jobs_max reconfig =
+let configs_of reconfig =
   [
-    { reconfig; prune = true; memo = true; inc = true; inc_merge = true; jobs = 1 };
-    { reconfig; prune = false; memo = false; inc = true; inc_merge = true; jobs = 1 };
-    { reconfig; prune = true; memo = true; inc = false; inc_merge = true; jobs = 1 };
-    { reconfig; prune = false; memo = false; inc = false; inc_merge = true; jobs = 1 };
-    (* incremental-merge off: batch per-trial copies must reproduce the
-       in-place journaled merge loop bit for bit *)
-    { reconfig; prune = true; memo = true; inc = true; inc_merge = false; jobs = 1 };
-    { reconfig; prune = true; memo = true; inc = true; inc_merge = true; jobs = jobs_max };
-    { reconfig; prune = false; memo = false; inc = false; inc_merge = true; jobs = jobs_max };
+    { reconfig; prune = true; memo = true; inc = true; jobs = 1 };
+    { reconfig; prune = false; memo = false; inc = true; jobs = 1 };
+    { reconfig; prune = true; memo = true; inc = false; jobs = 1 };
+    { reconfig; prune = false; memo = false; inc = false; jobs = 1 };
   ]
+
+let flavors = [ true; false ]
 
 let options_of (c : config) =
   {
@@ -227,7 +223,6 @@ let options_of (c : config) =
     prune = c.prune;
     memo = c.memo;
     incremental = c.inc;
-    incremental_merge = c.inc_merge;
     jobs = c.jobs;
   }
 
@@ -256,9 +251,7 @@ let violation_strings vs =
    the incumbent bound on or off — the differential oracle that a bound
    abort never killed a trajectory that would have won. *)
 let portfolio_checks ~out ~jobs_max ~seed ~params ~spec ~ref_sig reconfig =
-  let config jobs =
-    { reconfig; prune = true; memo = true; inc = true; inc_merge = true; jobs }
-  in
+  let config jobs = { reconfig; prune = true; memo = true; inc = true; jobs } in
   let flow o = Core.synthesize ~options:o spec lib in
   let cost (r : Core.result) = r.Core.cost in
   let met (r : Core.result) = r.Core.deadlines_met in
@@ -496,7 +489,7 @@ let run_seed ~out ~jobs_max ~with_ft seed =
   let spec = W.generate lib params in
   List.iter
     (fun reconfig ->
-      let configs = configs_of ~jobs_max reconfig in
+      let configs = configs_of reconfig in
       let results =
         List.map
           (fun c ->
@@ -532,7 +525,7 @@ let run_seed ~out ~jobs_max ~with_ft seed =
           ~options:(options_of ref_config) ~reference;
         serve_checks ~out ~seed ~params ~spec ~reference
       end)
-    [ true; false ];
+    flavors;
   if with_ft then begin
     match Ft.synthesize ~options:Core.default_options spec lib with
     | Error msg ->
@@ -875,10 +868,12 @@ let () =
   else begin
     let n = a.seed_hi - a.seed_lo + 1 in
     Printf.printf
-      "fuzzing seeds %d..%d (%d seeds x 14 configurations + portfolio \
+      "fuzzing seeds %d..%d (%d seeds x %d configurations + portfolio \
        {1,4}x{bound on,off} + resynth differential + serve round-trip, \
        jobs_max=%d)\n%!"
-      a.seed_lo a.seed_hi n a.jobs_max;
+      a.seed_lo a.seed_hi n
+      (List.length (List.concat_map configs_of flavors))
+      a.jobs_max;
     for seed = a.seed_lo to a.seed_hi do
       let with_ft = (seed - a.seed_lo) mod a.ft_every = 0 in
       run_seed ~out:a.out ~jobs_max:a.jobs_max ~with_ft seed;

@@ -29,8 +29,8 @@ let queue_cap_arg =
 
 let jobs_arg =
   let doc =
-    "Default per-job evaluation parallelism (a job's own $(b,jobs) option \
-     overrides it)."
+    "Default domains a job's portfolio trajectories spread over (a job's \
+     own $(b,jobs) option overrides it)."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 

@@ -9,7 +9,7 @@
      dune exec examples/field_upgrade.exe *)
 
 module C = Crusade.Crusade_core
-module U = Crusade.Upgrade
+module R = C.Resynth
 
 let () =
   let lib = Crusade_resource.Library.small () in
@@ -23,21 +23,29 @@ let () =
        (List.map
           (fun g -> spec.Crusade_taskgraph.Spec.graphs.(g).Crusade_taskgraph.Graph.name)
           upgrade_graphs));
-  match U.analyze spec lib ~upgrade_graphs with
+  (* The deployed base is the initial release alone; the feature release
+     then arrives as a field-upgrade change on that base. *)
+  match
+    Result.bind
+      (C.synthesize
+         ~include_graph:(fun g -> not (List.mem g upgrade_graphs))
+         spec lib)
+      (fun base -> R.apply base (R.Upgrade upgrade_graphs))
+  with
   | Error msg ->
       Format.printf "analysis failed: %s@." msg;
       exit 1
-  | Ok { base; verdict; _ } -> (
-      Format.printf "--- deployed architecture ---@.%a@.@." C.pp_report base;
-      match verdict with
-      | U.Reprogramming_only { result; added_images } ->
-          Format.printf "--- after the feature release ---@.%a@.@." C.pp_report result;
+  | Ok rep -> (
+      Format.printf "--- deployed architecture ---@.%a@.@." C.pp_report
+        rep.R.deployed;
+      Format.printf "--- after the feature release ---@.%a@.@." R.pp_report rep;
+      match rep.R.verdict with
+      | R.Images_only { added_images; _ } ->
           Format.printf
             "VERDICT: upgrade ships as %d new configuration image(s) — pure@."
             added_images;
           Format.printf "reprogramming, no hardware change.@."
-      | U.Needs_hardware { result; added_pes; added_cost } ->
-          Format.printf "--- after the feature release ---@.%a@.@." C.pp_report result;
+      | R.Needs_hardware { added_pes; added_cost; _ } ->
           Format.printf "VERDICT: upgrade needs %d new PE(s), +$%.0f.@." added_pes
             added_cost
-      | U.Infeasible msg -> Format.printf "VERDICT: upgrade infeasible (%s).@." msg)
+      | R.Infeasible -> Format.printf "VERDICT: upgrade infeasible.@.")

@@ -82,13 +82,14 @@ type t = {
 val create : Crusade_resource.Library.t -> t
 
 val copy : t -> t
-(** Deep copy (the parallel evaluation path gives every domain disjoint
-    state).  The copy never inherits open checkpoints. *)
+(** Deep copy (the merge phase's private working architecture, each
+    resynthesis attempt's post-change architecture).  The copy never
+    inherits open checkpoints. *)
 
 (** {2 Undo journal}
 
-    The sequential evaluation path trials candidate mutations directly on
-    the base architecture instead of deep-copying it: [checkpoint] opens
+    Candidate evaluation trials mutations directly on the base
+    architecture instead of deep-copying it: [checkpoint] opens
     a journal scope, every mutating operation ({!place_cluster},
     {!unplace_cluster}, {!add_pe}, {!add_mode}, {!add_link}, {!attach},
     {!detach_unused}) logs its inverse, and [rollback] runs the log

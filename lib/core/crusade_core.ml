@@ -68,7 +68,6 @@ type options = {
   prune : bool;
   memo : bool;
   incremental : bool;
-  incremental_merge : bool;
   trace : Trace.t option;
   portfolio : traj option;
   cancel : (unit -> bool) option;
@@ -87,7 +86,6 @@ let default_options =
     prune = true;
     memo = true;
     incremental = true;
-    incremental_merge = true;
     trace = None;
     portfolio = None;
     cancel = None;
@@ -131,7 +129,7 @@ type result = {
 
 (* Wall clock for the [wall_seconds] report: [Sys.time] sums processor
    time over every domain, so it overstates elapsed time as soon as
-   [jobs > 1]. *)
+   portfolio trajectories run in parallel. *)
 let wall_now () = Unix.gettimeofday ()
 
 (* Per-run evaluator state, created at flow start and dropped with the
@@ -333,7 +331,8 @@ let n_modes arch =
 
 (* Allocate one cluster: evaluate the allocation array in increasing-cost
    order; commit the first allocation whose schedule meets all deadlines,
-   falling back to the least-tardy evaluated option.
+   falling back to the least-tardy evaluated option.  The commit mutates
+   [arch] in place.
 
    Candidate evaluation is two-staged.  Stage 1 is the admissible bound
    [Schedule.estimate]: a candidate whose bound is already positive
@@ -345,22 +344,11 @@ let n_modes arch =
    [Memo.run].  Both stages preserve the committed candidate bit for
    bit; [opts.prune]/[opts.memo] switch them off for A/B runs.
 
-   With [opts.jobs = 1] candidates are trialled directly on the base
-   architecture under the undo journal (checkpoint, mutate, schedule,
-   rollback), sparing a deep [Arch.copy] per candidate; the winner is
-   re-applied to the pristine base, which reproduces the deep-copy
-   path's architecture exactly because rollback restores the base bit
-   for bit.  With [opts.jobs > 1] the candidates are evaluated
-   speculatively in index-ordered batches on the domain pool — each
-   evaluation works on its own [Arch.copy], so they are independent —
-   and the batch results are then consumed in index order through
-   exactly the sequential search's state machine (window guard,
-   first-feasible commit, least-tardy fallback).  The committed
-   candidate is therefore the one the sequential search would have
-   committed; parallelism only changes how many candidates past the
-   commit point were (wastefully) evaluated, and its stage-1 incumbent
-   is snapshotted at batch dispatch, which can only prune less than the
-   sequential search, never differently. *)
+   Candidates are trialled directly on the base architecture under the
+   undo journal (checkpoint, mutate, schedule, rollback), sparing a deep
+   [Arch.copy] per candidate; a least-tardy fallback is re-applied to
+   the pristine base, which reproduces the trialled architecture exactly
+   because rollback restores the base bit for bit. *)
 let allocate_cluster ~opts ~ctx spec clustering arch cluster =
   let candidates =
     Options.enumerate arch spec clustering cluster
@@ -399,7 +387,6 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
           Array.map (fun (_, _, c) -> c) keyed
     in
     let n = Array.length candidates in
-    let jobs = max 1 opts.jobs in
     let rollback a ck =
       Trace.Counter.incr ctx.rollback_counter;
       Arch.rollback a ck
@@ -435,176 +422,82 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
     let schedule_trial trial =
       Memo.evaluate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial
     in
-    if jobs = 1 then begin
-      (* Sequential path: journaled trials on the base architecture.
-         The fallback holds the candidate *index* — re-applying it to
-         the rolled-back base reproduces the winning architecture. *)
-      let best_fallback = ref None in
-      let tried = ref 0 in
-      let window_open () = !tried < opts.eval_window || !best_fallback = None in
-      let exception Commit in
-      let reapply idx =
-        match Options.apply arch spec clustering cluster candidates.(idx) with
-        | Ok () -> Ok arch
-        | Error msg -> Error msg
-      in
-      match
-        let i = ref 0 in
-        while !i < n && window_open () do
-          ctx.check_budget ();
-          Trace.span ctx.trace
-            ~args:[ ("index", Trace.Num !i) ]
-            "alloc.candidate"
-            (fun () ->
-              let ck = Arch.checkpoint arch in
-              match Options.apply arch spec clustering cluster candidates.(!i) with
-              | Error _ -> rollback arch ck
-              | Ok () -> (
-                  match stage1 (Option.map fst !best_fallback) arch with
-                  | Some (`Unschedulable | `Dominated) ->
-                      rollback arch ck;
-                      incr tried
-                  | None -> (
-                      match schedule_trial arch with
-                      | Error _ ->
-                          rollback arch ck;
-                          incr tried
-                      | Ok v ->
-                          if v.Schedule.v_met then begin
-                            Arch.commit arch ck;
-                            raise Commit
-                          end
-                          else begin
-                            let score =
-                              (v.Schedule.v_tardiness, Arch.cost arch)
-                            in
-                            (match !best_fallback with
-                            | Some (best_score, _) when best_score <= score -> ()
-                            | _ -> best_fallback := Some (score, !i));
-                            rollback arch ck;
-                            incr tried
-                          end)));
-          incr i
-        done;
-        if !i >= n then begin
-          match !best_fallback with
-          | Some (score, idx) ->
-              if debug then
-                Printf.eprintf
-                  "fallback commit: cluster %d (graph %d) tardiness %d after %d evals\n%!"
-                  cluster.Clustering.cid cluster.Clustering.graph (fst score) !tried;
-              reapply idx
-          | None ->
-              Error
-                (Printf.sprintf "no applicable allocation for cluster %d"
-                   cluster.Clustering.cid)
-        end
-        else begin
-          (* Evaluation window exhausted: settle for the least-tardy
-             option seen. *)
-          match !best_fallback with
-          | Some (_, idx) -> reapply idx
-          | None ->
-              (* The window only closes once a fallback exists
-                 ([window_open]), so this branch is unreachable. *)
-              failwith
-                (Printf.sprintf
-                   "allocate_cluster: evaluation window closed with no \
-                    fallback for cluster %d (graph %d) after %d of %d \
-                    candidates"
-                   cluster.Clustering.cid cluster.Clustering.graph !tried n)
-        end
-      with
-      | result -> result
-      | exception Commit -> Ok arch
-    end
-    else begin
-      let pool = Pool.global () in
-      let best_fallback = ref None in
-      let tried = ref 0 in
-      let window_open () = !tried < opts.eval_window || !best_fallback = None in
-      (* Pure w.r.t. [arch]: every evaluation mutates only its own copy. *)
-      let evaluate_candidate incumbent i =
+    (* The fallback holds the candidate *index* — re-applying it to the
+       rolled-back base reproduces the winning architecture. *)
+    let best_fallback = ref None in
+    let tried = ref 0 in
+    let window_open () = !tried < opts.eval_window || !best_fallback = None in
+    let exception Commit in
+    let reapply idx = Options.apply arch spec clustering cluster candidates.(idx) in
+    match
+      let i = ref 0 in
+      while !i < n && window_open () do
+        ctx.check_budget ();
         Trace.span ctx.trace
-          ~args:[ ("index", Trace.Num i) ]
+          ~args:[ ("index", Trace.Num !i) ]
           "alloc.candidate"
           (fun () ->
-            let trial = Arch.copy arch in
-            match Options.apply trial spec clustering cluster candidates.(i) with
-            | Error _ -> `Inapplicable
+            let ck = Arch.checkpoint arch in
+            match Options.apply arch spec clustering cluster candidates.(!i) with
+            | Error _ -> rollback arch ck
             | Ok () -> (
-                match stage1 incumbent trial with
-                | Some (`Unschedulable | `Dominated) -> `Pruned
+                match stage1 (Option.map fst !best_fallback) arch with
+                | Some (`Unschedulable | `Dominated) ->
+                    rollback arch ck;
+                    incr tried
                 | None -> (
-                    match schedule_trial trial with
-                    | Error _ -> `Unschedulable
+                    match schedule_trial arch with
+                    | Error _ ->
+                        rollback arch ck;
+                        incr tried
                     | Ok v ->
-                        if v.Schedule.v_met then `Feasible trial
-                        else
-                          `Tardy
-                            (trial, (v.Schedule.v_tardiness, Arch.cost trial)))))
-      in
-      let exception Commit of Arch.t in
-      let consume = function
-        | `Inapplicable -> ()
-        | `Unschedulable | `Pruned -> incr tried
-        | `Feasible trial -> raise (Commit trial)
-        | `Tardy (trial, score) ->
-            (match !best_fallback with
-            | Some (best_score, _) when best_score <= score -> ()
-            | _ -> best_fallback := Some (score, trial));
-            incr tried
-      in
-      match
-        let i = ref 0 in
-        while !i < n && window_open () do
-          ctx.check_budget ();
-          let base = !i in
-          let batch = min jobs (n - base) in
-          let incumbent = Option.map fst !best_fallback in
-          let results =
-            Pool.map_n ~jobs pool
-              (fun k -> evaluate_candidate incumbent (base + k))
-              batch
-          in
-          (* In-order consumption; once the window closes mid-batch the
-             remaining speculative results are discarded, as the sequential
-             search would never have evaluated them. *)
-          Array.iter (fun r -> if window_open () then consume r) results;
-          i := base + batch
-        done;
-        if !i >= n then begin
-          match !best_fallback with
-          | Some (score, trial) ->
-              if debug then
-                Printf.eprintf
-                  "fallback commit: cluster %d (graph %d) tardiness %d after %d evals\n%!"
-                  cluster.Clustering.cid cluster.Clustering.graph (fst score) !tried;
-              Ok trial
-          | None ->
-              Error
-                (Printf.sprintf "no applicable allocation for cluster %d"
-                   cluster.Clustering.cid)
-        end
-        else begin
-          (* Evaluation window exhausted: settle for the least-tardy
-             option seen. *)
-          match !best_fallback with
-          | Some (_, trial) -> Ok trial
-          | None ->
-              (* The window only closes once a fallback exists
-                 ([window_open]), so this branch is unreachable. *)
-              failwith
-                (Printf.sprintf
-                   "allocate_cluster: evaluation window closed with no \
-                    fallback for cluster %d (graph %d) after %d of %d \
-                    candidates"
-                   cluster.Clustering.cid cluster.Clustering.graph !tried n)
-        end
-      with
-      | result -> result
-      | exception Commit trial -> Ok trial
-    end
+                        if v.Schedule.v_met then begin
+                          Arch.commit arch ck;
+                          raise Commit
+                        end
+                        else begin
+                          let score =
+                            (v.Schedule.v_tardiness, Arch.cost arch)
+                          in
+                          (match !best_fallback with
+                          | Some (best_score, _) when best_score <= score -> ()
+                          | _ -> best_fallback := Some (score, !i));
+                          rollback arch ck;
+                          incr tried
+                        end)));
+        incr i
+      done;
+      if !i >= n then begin
+        match !best_fallback with
+        | Some (score, idx) ->
+            if debug then
+              Printf.eprintf
+                "fallback commit: cluster %d (graph %d) tardiness %d after %d evals\n%!"
+                cluster.Clustering.cid cluster.Clustering.graph (fst score) !tried;
+            reapply idx
+        | None ->
+            Error
+              (Printf.sprintf "no applicable allocation for cluster %d"
+                 cluster.Clustering.cid)
+      end
+      else begin
+        (* Evaluation window exhausted: settle for the least-tardy
+           option seen. *)
+        match !best_fallback with
+        | Some (_, idx) -> reapply idx
+        | None ->
+            (* The window only closes once a fallback exists
+               ([window_open]), so this branch is unreachable. *)
+            failwith
+              (Printf.sprintf
+                 "allocate_cluster: evaluation window closed with no \
+                  fallback for cluster %d (graph %d) after %d of %d \
+                  candidates"
+                 cluster.Clustering.cid cluster.Clustering.graph !tried n)
+      end
+    with
+    | result -> result
+    | exception Commit -> Ok ()
   end
 
 (* The synthesis flow proper, shared by [synthesize] (fresh architecture)
@@ -612,7 +505,7 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
    cluster not yet placed and not skipped, repair residual tardiness,
    run dynamic-reconfiguration generation, synthesize the programming
    interface and assemble the result. *)
-let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0 ~skip =
+let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch ~skip =
   ignore lib;
   let ctx = make_ctx opts in
   let traj = opts.portfolio in
@@ -634,21 +527,20 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
         | None -> ())
     | Some { t_bound = None; _ } | None -> ()
   in
-  let arch = ref arch0 in
   (* Admissible floor while repair (and, with reconfiguration on, the
      merge phase) is still ahead.  [rip_budget] is how many rip-up
      attempts remain: 20 during allocation, fewer once repair runs. *)
   let pre_merge_floor ?rip_budget () =
     if opts.dynamic_reconfiguration then
-      floor_nonprog !arch -. repair_headroom ?rip_budget ~all:false !arch
-    else floor_all !arch -. repair_headroom ?rip_budget ~all:true !arch
+      floor_nonprog arch -. repair_headroom ?rip_budget ~all:false arch
+    else floor_all arch -. repair_headroom ?rip_budget ~all:true arch
   in
   let total = Array.length clustering.Clustering.clusters in
   let allocated = Array.make total false in
   let remaining = ref 0 in
   Array.iter
     (fun (c : Clustering.cluster) ->
-      if skip c || Arch.site_of_cluster !arch c.cid <> None then
+      if skip c || Arch.site_of_cluster arch c.cid <> None then
         allocated.(c.cid) <- true
       else incr remaining)
     clustering.Clustering.clusters;
@@ -659,7 +551,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
   let pop_jitter =
     match ctx.perturb with
     | Some rng when total > 1 ->
-        let levels = Schedule.priorities spec clustering !arch in
+        let levels = Schedule.priorities spec clustering arch in
         let lo = ref max_int and hi = ref min_int in
         Array.iter
           (fun (c : Clustering.cluster) ->
@@ -674,7 +566,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
   let rec allocate_all remaining =
     if remaining = 0 then Ok ()
     else begin
-      let levels = Schedule.priorities spec clustering !arch in
+      let levels = Schedule.priorities spec clustering arch in
       let next = ref (-1) and next_level = ref min_int in
       Array.iter
         (fun (c : Clustering.cluster) ->
@@ -698,18 +590,17 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
               ("graph", Trace.Num cluster.Clustering.graph);
             ]
           "alloc.cluster"
-          (fun () -> allocate_cluster ~opts ~ctx spec clustering !arch cluster)
+          (fun () -> allocate_cluster ~opts ~ctx spec clustering arch cluster)
       with
       | Error _ as e -> e
-      | Ok trial ->
-          arch := trial;
+      | Ok () ->
           (* Refresh the incremental engine's recording on the committed
              architecture: the next cluster's trials then diff against a
              basis that differs only by their own placement, maximizing
              the replayable prefix.  One record-only run per cluster
              against dozens of trials served by replay. *)
           if opts.incremental then
-            Memo.refresh ctx.memo ~copy_cap:opts.copy_cap spec clustering !arch;
+            Memo.refresh ctx.memo ~copy_cap:opts.copy_cap spec clustering arch;
           allocated.(cluster.cid) <- true;
           ctx.check_budget ();
           (* During allocation, repair (<= 20 vacating rip-ups) and the
@@ -741,10 +632,10 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
             note cid late;
             (* The blockers sharing the tardy cluster's PE are candidates
                too: moving one of them can free the needed slot. *)
-            match Arch.site_of_cluster !arch cid with
+            match Arch.site_of_cluster arch cid with
             | None -> ()
             | Some site ->
-                let pe = Vec.get !arch.Arch.pes site.Arch.s_pe in
+                let pe = Vec.get arch.Arch.pes site.Arch.s_pe in
                 Vec.iter
                   (fun (m : Arch.mode) ->
                     List.iter (fun other -> if other <> cid then note other (late / 2))
@@ -786,7 +677,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
         (* Each attempt is a full rip-up/re-allocate cycle; at most [k]
            remain, so the headroom discount shrinks as repair proceeds. *)
         check_bound (fun () -> pre_merge_floor ~rip_budget:k ());
-        match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering !arch with
+        match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering arch with
         | Error _ -> ()
         | Ok sched ->
             if not sched.Schedule.deadlines_met then begin
@@ -799,31 +690,20 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
                     ~args:[ ("cluster", Trace.Num cid) ]
                     "repair.attempt"
                     (fun () ->
-                      if opts.jobs <= 1 then begin
-                        (* Sequential path: rip-up and retry under the undo
-                           journal instead of a deep safety copy. *)
-                        let ck = Arch.checkpoint !arch in
-                        Arch.unplace_cluster !arch clustering cluster;
-                        match allocate_cluster ~opts ~ctx spec clustering !arch cluster with
-                        | Ok trial ->
-                            (* [trial == !arch]: the sequential allocator
-                               commits into the base it was handed. *)
-                            if improves sched trial then Arch.commit !arch ck
-                            else begin
-                              Trace.Counter.incr ctx.rollback_counter;
-                              Arch.rollback !arch ck
-                            end
-                        | Error _ ->
+                      (* Rip-up and retry under the undo journal instead
+                         of a deep safety copy. *)
+                      let ck = Arch.checkpoint arch in
+                      Arch.unplace_cluster arch clustering cluster;
+                      match allocate_cluster ~opts ~ctx spec clustering arch cluster with
+                      | Ok () ->
+                          if improves sched arch then Arch.commit arch ck
+                          else begin
                             Trace.Counter.incr ctx.rollback_counter;
-                            Arch.rollback !arch ck
-                      end
-                      else begin
-                        let saved = Arch.copy !arch in
-                        Arch.unplace_cluster !arch clustering cluster;
-                        match allocate_cluster ~opts ~ctx spec clustering !arch cluster with
-                        | Ok trial -> if improves sched trial then arch := trial else arch := saved
-                        | Error _ -> arch := saved
-                      end);
+                            Arch.rollback arch ck
+                          end
+                      | Error _ ->
+                          Trace.Counter.incr ctx.rollback_counter;
+                          Arch.rollback arch ck);
                   attempt (k - 1)
             end
       end
@@ -847,7 +727,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
           | Some (bc, bi) -> (
               match
                 Memo.estimate ctx.memo ~copy_cap:opts.copy_cap spec clustering
-                  !arch
+                  arch
               with
               | Ok lb when lb > 0 ->
                   raise
@@ -863,8 +743,8 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
       | Some { t_bound = None; _ } | None -> ());
       check_bound (fun () ->
           if opts.dynamic_reconfiguration then
-            floor_nonprog !arch +. floor_min_ppe !arch
-          else floor_all !arch);
+            floor_nonprog arch +. floor_min_ppe arch
+          else floor_all arch);
       (* Dynamic-reconfiguration generation. *)
       let fit_scale =
         match traj with Some t -> t.t_fit_scale | None -> (1.0, 1.0)
@@ -880,10 +760,9 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
           let outcome =
             Trace.span ctx.trace "merge" (fun () ->
                 Merge.optimize ~copy_cap:opts.copy_cap
-                  ~max_trials_per_pass:opts.merge_trials_per_pass ~jobs:opts.jobs
-                  ~prune:opts.prune ~incremental_merge:opts.incremental_merge
-                  ~fit_scale ~on_pass ?trace:ctx.trace
-                  ~memo:ctx.memo spec clustering !arch)
+                  ~max_trials_per_pass:opts.merge_trials_per_pass
+                  ~prune:opts.prune ~fit_scale ~on_pass ?trace:ctx.trace
+                  ~memo:ctx.memo spec clustering arch)
           in
           ctx.merge_replays <- Memo.replays ctx.memo - replays0;
           ctx.merge_rebuilds <- Memo.rebuilds ctx.memo - rebuilds0;
@@ -892,8 +771,8 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch0
           | Error msg -> Error msg
         end
         else begin
-          match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering !arch with
-          | Ok sched -> Ok (!arch, sched, None)
+          match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering arch with
+          | Ok sched -> Ok (arch, sched, None)
           | Error msg -> Error msg
         end
       in
@@ -1030,9 +909,9 @@ module Portfolio = struct
      is the unperturbed reference — no control block at all, so it is
      bit-identical to the plain flow and exempt from bound and budget
      aborts (it is the anytime fallback and the [baseline_cost]). *)
-  let make_traj_options (base : options) ~seed ~index ~inner_jobs ~bound
-      ~deadline ~basis =
-    if index = 0 then { base with jobs = inner_jobs }
+  let make_traj_options (base : options) ~seed ~index ~bound ~deadline
+      ~basis =
+    if index = 0 then base
     else begin
       let kr = Rng.create ((seed * 1_000_003) + (index * 7919)) in
       let flow_seed = Rng.int_in kr 1 max_int in
@@ -1054,7 +933,6 @@ module Portfolio = struct
       let t_fit_scale = (Rng.pick kr scales, Rng.pick kr scales) in
       {
         base with
-        jobs = inner_jobs;
         eval_window;
         copy_cap;
         merge_trials_per_pass;
@@ -1072,8 +950,7 @@ module Portfolio = struct
     end
 
   let trajectory_options (base : options) ~seed ~index =
-    make_traj_options base ~seed ~index ~inner_jobs:base.jobs ~bound:None
-      ~deadline:None ~basis:None
+    make_traj_options base ~seed ~index ~bound:None ~deadline:None ~basis:None
 
   let offer_incumbent bound ~cost ~index =
     match bound with
@@ -1103,8 +980,8 @@ module Portfolio = struct
       incumbent_updates = s.incumbent_updates;
     }
 
-  let run ?pool ?jobs ?budget_ms ?(seed = 0) ?(use_bound = true) ~n ~options
-      ~flow ~cost ~met () =
+  let run ?pool ?budget_ms ?(seed = 0) ?(use_bound = true) ~n ~options ~flow
+      ~cost ~met () =
     let pool = match pool with Some p -> p | None -> Pool.global () in
     let n = if n > 0 then n else Pool.size pool in
     if n = 1 && budget_ms = None then
@@ -1134,16 +1011,7 @@ module Portfolio = struct
                 };
             }
     else begin
-      let jobs =
-        match jobs with
-        | Some j -> max 1 j
-        | None -> min n (Pool.size pool)
-      in
-      (* Cores are spent across trajectories first; leftover factors go
-         to each trajectory's inner candidate evaluation (results are
-         bit-identical for any inner [jobs], so this only affects
-         speed). *)
-      let inner_jobs = max 1 (jobs / n) in
+      let jobs = min n (max 1 options.jobs) in
       let w0 = wall_now () in
       let deadline =
         Option.map (fun ms -> w0 +. (float_of_int ms /. 1000.0)) budget_ms
@@ -1170,7 +1038,7 @@ module Portfolio = struct
         if expired then `Abort Budget_abort
         else begin
           let opts_k =
-            make_traj_options options ~seed ~index:k ~inner_jobs
+            make_traj_options options ~seed ~index:k
               ~bound:(if k = 0 then None else bound)
               ~deadline:(if k = 0 then None else deadline)
               ~basis

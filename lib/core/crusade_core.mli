@@ -39,11 +39,11 @@ type options = {
           on programmable devices) — the field-upgrade scenario of
           Section 3, where features are added by reprogramming alone *)
   jobs : int;
-      (** domains used for speculative candidate evaluation (allocation
-          inner loop and merge trials); results are bit-identical to
-          [jobs = 1] — the lowest-indexed candidate the sequential search
-          would commit always wins.  Defaults to the [CRUSADE_JOBS]
-          environment variable (clamped to the machine), else 1. *)
+      (** domains {!Portfolio.run} spreads its trajectories over
+          ([min n jobs]); a single synthesis always evaluates its
+          candidates on one domain, so results never depend on it.
+          Defaults to the [CRUSADE_JOBS] environment variable (clamped
+          to the machine), else 1. *)
   prune : bool;
       (** stage-1 candidate evaluation (default true): consult the
           admissible tardiness lower bound
@@ -63,15 +63,6 @@ type options = {
           of rebuilding every timeline from scratch.  Synthesis results
           are bit-identical with it on or off; [--no-incremental] in the
           CLI and benchmark drivers maps here. *)
-  incremental_merge : bool;
-      (** incremental merge phase (default true): sequential
-          ([jobs = 1]) merge trials mutate the live architecture under
-          the {!Crusade_alloc.Arch.checkpoint} journal and roll back on
-          rejection instead of deep-copying it per trial, so each trial
-          is a delta evaluated against a warm per-pass replay basis.
-          Results — accepted merges, schedules, merge stats — are
-          bit-identical with it on or off; [--no-incremental-merge] in
-          the CLI and benchmark drivers maps here. *)
   trace : Crusade_util.Trace.t option;
       (** when set, every synthesis phase (pre-processing, clustering,
           allocation per cluster and per candidate, repair, merge
@@ -162,7 +153,8 @@ type result = {
   deadlines_met : bool;
   cpu_seconds : float;
       (** [Sys.time] delta: processor time summed over every domain, so
-          it exceeds elapsed time when [options.jobs > 1] *)
+          it exceeds elapsed time when portfolio trajectories run in
+          parallel *)
   wall_seconds : float;  (** elapsed wall-clock time of the synthesis *)
   merge_stats : Crusade_reconfig.Merge.stats option;
   chosen_interface : Crusade_reconfig.Interface.option_t option;
@@ -179,7 +171,8 @@ val synthesize :
     structurally impossible inputs (a cluster no PE type can host);
     deadline misses are reported through [deadlines_met].
     [include_graph] restricts synthesis to a subset of the task graphs
-    (used by {!Upgrade}); excluded graphs' clusters stay unallocated. *)
+    (the deployed base of a {!Resynth} graph arrival or field upgrade);
+    excluded graphs' clusters stay unallocated. *)
 
 val continue_allocation :
   ?options:options -> result -> (result, string) Stdlib.result
@@ -205,8 +198,8 @@ val continue_allocation :
     remove trajectories that could not have won, the winner — resolved
     as the lexicographic minimum of (deadlines missed, cost, index) over
     completed trajectories — is identical for a fixed (seed, N)
-    whatever the domain interleaving or [jobs] value; only the abort
-    counters vary.  With a [budget_ms] wall-clock budget, trajectories
+    whatever the domain interleaving or [options.jobs] value; only the
+    abort counters vary.  With a [budget_ms] wall-clock budget, trajectories
     past the deadline abort at their next check point and the best
     result found so far is returned (determinism then extends only to
     the trajectories that completed). *)
@@ -255,7 +248,6 @@ module Portfolio : sig
 
   val run :
     ?pool:Crusade_util.Pool.t ->
-    ?jobs:int ->
     ?budget_ms:int ->
     ?seed:int ->
     ?use_bound:bool ->
@@ -273,9 +265,8 @@ module Portfolio : sig
       exceptions pass through.  [cost]/[met] project the comparison key
       out of a flow result.  [n <= 0] resolves via {!resolve_n};
       [n = 1] without budget is a pure passthrough of [flow options].
-      [jobs] (default [min n (Pool.size pool)]) caps concurrent
-      trajectory runners; leftover factors of [jobs / n] go to each
-      trajectory's inner candidate evaluation.  [use_bound:false]
+      [min n options.jobs] trajectories run concurrently on the pool
+      (fewer when the machine has fewer domains).  [use_bound:false]
       disarms the incumbent bound (every trajectory runs to completion —
       the differential oracle for abort soundness).  [Error] is returned
       only when no trajectory completed — trajectory 0 cannot abort, so
@@ -357,8 +348,10 @@ module Resynth : sig
             specification is rebuilt with scaled execution vectors while
             clustering and placements are preserved *)
     | Upgrade of int list
-        (** field upgrade: same mechanics as [Graph_arrival], reported
-            in {!Upgrade.analyze}'s vocabulary *)
+        (** field upgrade (Section 3): same mechanics as
+            [Graph_arrival] — the deployed base was synthesized without
+            these graphs, and the verdict says whether the feature
+            release ships as configuration images alone *)
 
   type attempt_outcome = Met | Tardy of int  (** total tardiness, us *) | Failed of string
 

@@ -8,7 +8,6 @@ module Connect = Crusade_alloc.Connect
 module Schedule = Crusade_sched.Schedule
 module Memo = Crusade_sched.Memo
 module Vec = Crusade_util.Vec
-module Pool = Crusade_util.Pool
 module Trace = Crusade_util.Trace
 
 type stats = {
@@ -68,9 +67,8 @@ let modes_fit ~fit_scale (src : Arch.pe_inst) (dst : Arch.pe_inst) clustering =
 (* Move every cluster of [src] into fresh modes of [dst], mutating
    [arch] in place.  Every mutation below ([add_mode], [unplace_cluster],
    [place_cluster], the [attach]/[add_link] inside [Connect.ensure],
-   [detach_unused]) journals its inverse, so callers either run this on
-   a throwaway copy ([try_merge]) or under an open {!Arch.checkpoint}
-   (the incremental trial path) and roll back on rejection. *)
+   [detach_unused]) journals its inverse, so the caller runs this under
+   an open {!Arch.checkpoint} and rolls back on rejection. *)
 let apply_merge spec clustering arch ~src_id ~dst_id =
   let src = Vec.get arch.Arch.pes src_id and dst = Vec.get arch.Arch.pes dst_id in
   let move_mode (m : Arch.mode) =
@@ -99,13 +97,6 @@ let apply_merge spec clustering arch ~src_id ~dst_id =
       Arch.detach_unused arch;
       Ok ()
 
-(* Move every cluster of [src] into fresh modes of [dst] on a copy of the
-   architecture; returns the copy on success. *)
-let try_merge spec clustering arch ~src_id ~dst_id =
-  let trial = Arch.copy arch in
-  apply_merge spec clustering trial ~src_id ~dst_id
-  |> Result.map (fun () -> trial)
-
 (* Combine two occupied modes of the same device when the union respects
    the ERUF/EPUF caps (Section 4.2: "we try to combine C1, C2 and C3 in
    the same FPGA mode if there exist sufficient resources").  In-place,
@@ -124,26 +115,15 @@ let apply_combine spec clustering arch ~pe_id ~mode_a ~mode_b =
           Arch.place_cluster arch spec clustering cluster ~pe ~mode:target)
     (Ok ()) source.Arch.m_clusters
 
-let try_combine spec clustering arch ~pe_id ~mode_a ~mode_b =
-  let trial = Arch.copy arch in
-  apply_combine spec clustering trial ~pe_id ~mode_a ~mode_b
-  |> Result.map (fun () -> trial)
-
 let feasible (v : Schedule.verdict) = v.Schedule.v_met
 
 let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400)
-    ?(jobs = 1) ?(prune = true) ?(incremental_merge = true)
-    ?(fit_scale = (1.0, 1.0)) ?(on_pass = fun _ -> ())
-    ?trace ~memo spec clustering arch =
-  let jobs = max 1 jobs in
-  (* Sequential trials can skip the per-trial [Arch.copy] entirely:
-     mutate the live architecture under a journal checkpoint, evaluate
-     the delta (the incremental engine replays the untouched prefix
-     against its warm basis), and roll back unless accepted.  The
-     parallel path keeps copies — concurrent trials must not share a
-     mutable base. *)
-  let in_place = incremental_merge && jobs = 1 in
-  let pool = Pool.global () in
+    ?(prune = true) ?(fit_scale = (1.0, 1.0)) ?(on_pass = fun _ -> ()) ?trace
+    ~memo spec clustering arch =
+  (* Trials never deep-copy the architecture: they mutate the live one
+     under a journal checkpoint, evaluate the delta (the incremental
+     engine replays the untouched prefix against its warm basis), and
+     roll back unless accepted. *)
   let run_schedule a = Memo.run memo ~copy_cap spec clustering a in
   (* Stage-1 rejection of a trial against the base it was built from:
      acceptance needs a feasible schedule at [base_cost] or better
@@ -164,7 +144,7 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
   match run_schedule arch with
   | Error _ as e -> e
   | Ok initial_sched ->
-      let current = ref (Arch.copy arch) in
+      let current = Arch.copy arch in
       let current_sched = ref initial_sched in
       let merges_accepted = ref 0
       and merges_tried = ref 0
@@ -177,7 +157,7 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
         Trace.instant trace "merge.pass";
         (* Portfolio hook: bound/budget checks may raise to abort the
            trajectory between passes. *)
-        on_pass !current;
+        on_pass current;
         let compat = Compat.matrix spec !current_sched in
         (* Merge array: candidate (src, dst) PPE pairs, best saving first. *)
         let ppes =
@@ -185,7 +165,7 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
             (fun acc (pe : Arch.pe_inst) ->
               if Pe.is_programmable pe.Arch.ptype && Arch.n_images pe > 0 then pe :: acc
               else acc)
-            [] !current.Arch.pes
+            [] current.Arch.pes
         in
         let candidates = ref [] in
         List.iter
@@ -208,148 +188,67 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
         let sorted =
           Array.of_list (List.sort (fun (a, _, _) (b, _, _) -> compare b a) !candidates)
         in
-        (* Merge trials, evaluated in index-ordered batches of [jobs] on
-           the domain pool; every trial in a batch works on its own copy
-           of the same base architecture.  Results are consumed strictly
-           in trial order, and the first improving feasible merge is
-           accepted, after which the rest of the batch is discarded and
-           collection restarts just past the accepted pair — those trials
-           were speculated against a base that no longer exists, exactly
-           the candidates the sequential loop would have re-examined
-           against the updated architecture.  Pairs gone stale at
-           collection time are skipped without counting, as before, so
-           trial counts and accepted merges match [jobs = 1] exactly. *)
+        (* Merge trials in saving order; the first improving feasible
+           merge is kept and the walk continues against the updated
+           architecture.  Pairs gone stale after an accepted merge are
+           skipped without counting as trials. *)
         let n_candidates = Array.length sorted in
         let trials = ref 0 in
         let pos = ref 0 in
-        if in_place then
-          (* Sequential journaled trials: same candidate walk, same
-             stale-pair skipping, same acceptance rule and counter
-             discipline as the batched path at [jobs = 1] — the only
-             difference is that the trial architecture is the live one
-             under an open checkpoint instead of a fresh copy. *)
-          while !pos < n_candidates && !trials < max_trials_per_pass do
-            let _, src_id, dst_id = sorted.(!pos) in
-            let pos_k = !pos in
-            incr pos;
-            let src = Vec.get !current.Arch.pes src_id
-            and dst = Vec.get !current.Arch.pes dst_id in
-            if
-              Arch.n_images src > 0 && Arch.n_images dst > 0
-              && modes_fit ~fit_scale src dst clustering
-            then begin
-              incr trials;
-              incr merges_tried;
-              let base_cost = Arch.cost !current in
-              let ck = Arch.checkpoint !current in
-              let verdict_ok =
-                Trace.span trace
-                  ~args:[ ("trial", Trace.Num pos_k) ]
-                  "merge.trial"
-                  (fun () ->
-                    match apply_merge spec clustering !current ~src_id ~dst_id with
-                    | Error _ -> false
-                    | Ok () ->
-                        if rejectable ~base_cost ~strict:true !current then begin
-                          Memo.note_prune memo;
-                          false
-                        end
-                        else begin
-                          match
-                            Memo.evaluate memo ~copy_cap spec clustering !current
-                          with
-                          | Error _ -> false
-                          | Ok v -> feasible v && Arch.cost !current < base_cost
-                        end)
-              in
-              if verdict_ok then begin
-                (* The verdict said feasible, so the materializing run
-                   cannot fail (same inputs, bit-identical result). *)
-                match run_schedule !current with
-                | Error _ -> Arch.rollback !current ck
-                | Ok sched ->
-                    Arch.commit !current ck;
-                    current_sched := sched;
-                    incr merges_accepted;
-                    improved := true
-              end
-              else Arch.rollback !current ck
-            end
-          done
-        else
         while !pos < n_candidates && !trials < max_trials_per_pass do
-          let batch = ref [] and collected = ref 0 in
-          let want = min jobs (max_trials_per_pass - !trials) in
-          while !collected < want && !pos < n_candidates do
-            let _, src_id, dst_id = sorted.(!pos) in
-            (* The pair may be stale after an accepted merge. *)
-            let src = Vec.get !current.Arch.pes src_id
-            and dst = Vec.get !current.Arch.pes dst_id in
-            if
-              Arch.n_images src > 0 && Arch.n_images dst > 0
-              && modes_fit ~fit_scale src dst clustering
-            then begin
-              batch := (!pos, src_id, dst_id) :: !batch;
-              incr collected
-            end;
-            incr pos
-          done;
-          let batch = Array.of_list (List.rev !batch) in
-          let base = !current in
-          let base_cost = Arch.cost base in
-          let evaluate k =
-            let pos_k, src_id, dst_id = batch.(k) in
-            Trace.span trace
-              ~args:[ ("trial", Trace.Num pos_k) ]
-              "merge.trial"
-              (fun () ->
-                match try_merge spec clustering base ~src_id ~dst_id with
-                | Error _ -> None
-                | Ok trial ->
-                    if rejectable ~base_cost ~strict:true trial then begin
-                      Memo.note_prune memo;
-                      None
-                    end
-                    else begin
-                      (* Verdict-only: accepted trials are re-run through
-                         [run_schedule] below to materialize the schedule. *)
-                      match Memo.evaluate memo ~copy_cap spec clustering trial with
-                      | Error _ -> None
-                      | Ok v -> Some (trial, v, Arch.cost trial)
-                    end)
-          in
-          let results = Pool.map_n ~jobs pool evaluate (Array.length batch) in
-          let k = ref 0 and accepted = ref false in
-          while (not !accepted) && !k < Array.length batch do
+          let _, src_id, dst_id = sorted.(!pos) in
+          let pos_k = !pos in
+          incr pos;
+          let src = Vec.get current.Arch.pes src_id
+          and dst = Vec.get current.Arch.pes dst_id in
+          if
+            Arch.n_images src > 0 && Arch.n_images dst > 0
+            && modes_fit ~fit_scale src dst clustering
+          then begin
             incr trials;
             incr merges_tried;
-            (match results.(!k) with
-            | Some (trial, v, trial_cost)
-              when feasible v && trial_cost < Arch.cost !current -> (
-                (* The verdict said feasible, so the materializing run
-                   cannot fail (same inputs, bit-identical result). *)
-                match run_schedule trial with
-                | Error _ -> ()
-                | Ok sched ->
-                    current := trial;
-                    current_sched := sched;
-                    incr merges_accepted;
-                    improved := true;
-                    accepted := true;
-                    let accepted_pos, _, _ = batch.(!k) in
-                    pos := accepted_pos + 1)
-            | Some _ | None -> ());
-            incr k
-          done
+            let base_cost = Arch.cost current in
+            let ck = Arch.checkpoint current in
+            let verdict_ok =
+              Trace.span trace
+                ~args:[ ("trial", Trace.Num pos_k) ]
+                "merge.trial"
+                (fun () ->
+                  match apply_merge spec clustering current ~src_id ~dst_id with
+                  | Error _ -> false
+                  | Ok () ->
+                      if rejectable ~base_cost ~strict:true current then begin
+                        Memo.note_prune memo;
+                        false
+                      end
+                      else begin
+                        match
+                          Memo.evaluate memo ~copy_cap spec clustering current
+                        with
+                        | Error _ -> false
+                        | Ok v -> feasible v && Arch.cost current < base_cost
+                      end)
+            in
+            if verdict_ok then begin
+              (* The verdict said feasible, so the materializing run
+                 cannot fail (same inputs, bit-identical result). *)
+              match run_schedule current with
+              | Error _ -> Arch.rollback current ck
+              | Ok sched ->
+                  Arch.commit current ck;
+                  current_sched := sched;
+                  incr merges_accepted;
+                  improved := true
+            end
+            else Arch.rollback current ck
+          end
         done;
         (* Mode-combining pass on each multi-image device.  The fit
            precheck reads a pass-entry snapshot of each device's
-           occupied modes: on the copy path those are objects of the
-           pass-entry architecture, untouched by accepted combines (the
-           iteration walks the old PE vector while [current] moves to
-           fresh copies), so the in-place path snapshots the same
-           numbers explicitly and both paths attempt the identical
-           trial sequence. *)
+           occupied modes (ids, gates, pins), not the live modes that
+           accepted combines grow: this pins the trial sequence, and
+           with it the accepted combines, to the pass-entry
+           architecture. *)
         let combine_plan =
           let acc = ref [] in
           Vec.iter
@@ -366,7 +265,7 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
                         rest )
                     :: !acc
               | _ -> ())
-            !current.Arch.pes;
+            current.Arch.pes;
           List.rev !acc
         in
         List.iter
@@ -382,78 +281,45 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
                     ~args:[ ("pe", Trace.Num pe_id) ]
                     "merge.combine"
                     (fun () ->
-                      if in_place then begin
-                        let base_cost = Arch.cost !current in
-                        let ck = Arch.checkpoint !current in
-                        let verdict_ok =
-                          match
-                            apply_combine spec clustering !current ~pe_id
-                              ~mode_a:a_id ~mode_b:b_id
-                          with
-                          | Error _ -> false
-                          | Ok () ->
-                              if rejectable ~base_cost ~strict:false !current
-                              then begin
-                                Memo.note_prune memo;
-                                false
-                              end
-                              else begin
-                                match
-                                  Memo.evaluate memo ~copy_cap spec clustering
-                                    !current
-                                with
-                                | Error _ -> false
-                                | Ok v ->
-                                    feasible v && Arch.cost !current <= base_cost
-                              end
-                        in
-                        if verdict_ok then begin
-                          match run_schedule !current with
-                          | Error _ -> Arch.rollback !current ck
-                          | Ok sched ->
-                              Arch.commit !current ck;
-                              current_sched := sched;
-                              incr modes_combined;
-                              improved := true
-                        end
-                        else Arch.rollback !current ck
-                      end
-                      else
+                      let base_cost = Arch.cost current in
+                      let ck = Arch.checkpoint current in
+                      let verdict_ok =
                         match
-                          try_combine spec clustering !current ~pe_id
+                          apply_combine spec clustering current ~pe_id
                             ~mode_a:a_id ~mode_b:b_id
                         with
-                        | Error _ -> ()
-                        | Ok trial ->
-                            if
-                              rejectable ~base_cost:(Arch.cost !current)
-                                ~strict:false trial
-                            then Memo.note_prune memo
+                        | Error _ -> false
+                        | Ok () ->
+                            if rejectable ~base_cost ~strict:false current
+                            then begin
+                              Memo.note_prune memo;
+                              false
+                            end
                             else begin
                               match
                                 Memo.evaluate memo ~copy_cap spec clustering
-                                  trial
+                                  current
                               with
-                              | Error _ -> ()
+                              | Error _ -> false
                               | Ok v ->
-                                  if
-                                    feasible v
-                                    && Arch.cost trial <= Arch.cost !current
-                                  then begin
-                                    match run_schedule trial with
-                                    | Error _ -> ()
-                                    | Ok sched ->
-                                        current := trial;
-                                        current_sched := sched;
-                                        incr modes_combined;
-                                        improved := true
-                                  end
-                            end))
+                                  feasible v && Arch.cost current <= base_cost
+                            end
+                      in
+                      if verdict_ok then begin
+                        match run_schedule current with
+                        | Error _ -> Arch.rollback current ck
+                        | Ok sched ->
+                            Arch.commit current ck;
+                            current_sched := sched;
+                            incr modes_combined;
+                            improved := true
+                      end
+                      else Arch.rollback current ck))
               rest)
           combine_plan
       done;
       Ok
-        ( !current,
+        ( current,
           !current_sched,
           {
             merges_accepted = !merges_accepted;

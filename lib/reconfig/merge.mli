@@ -23,9 +23,7 @@ val merge_potential : Crusade_alloc.Arch.t -> int
 val optimize :
   ?copy_cap:int ->
   ?max_trials_per_pass:int ->
-  ?jobs:int ->
   ?prune:bool ->
-  ?incremental_merge:bool ->
   ?fit_scale:float * float ->
   ?on_pass:(Crusade_alloc.Arch.t -> unit) ->
   ?trace:Crusade_util.Trace.t ->
@@ -35,22 +33,10 @@ val optimize :
   Crusade_alloc.Arch.t ->
   (Crusade_alloc.Arch.t * Crusade_sched.Schedule.t * stats, string) result
 (** Returns the improved architecture with its final schedule.  The input
-    architecture is never mutated: sequential trials work on one private
-    copy under the {!Crusade_alloc.Arch.checkpoint} journal, parallel
-    trials on per-trial copies.
-
-    [jobs] (default 1) evaluates the merge trials of a pass in
-    index-ordered batches on the {!Crusade_util.Pool} domain pool,
-    accepting in deterministic trial order: results — including the
-    [stats] counters — are bit-identical to the sequential loop.
-
-    [incremental_merge] (default true) makes sequential ([jobs = 1])
-    trials mutate the live architecture under a journal checkpoint and
-    roll back on rejection, instead of deep-copying the architecture per
-    trial; with the incremental engine attached, each trial is then a
-    prefix replay against a warm per-pass basis.  Accepted shapes, the
-    final schedule and every [stats] counter are bit-identical with the
-    flag off (the [--no-incremental-merge] escape hatch).
+    architecture is never mutated: every trial mutates one private copy
+    under the {!Crusade_alloc.Arch.checkpoint} journal and rolls back
+    unless accepted, so with the incremental engine attached each trial
+    is a prefix replay against a warm per-pass basis.
 
     [prune] (default true) rejects trials whose exact cost or tardiness
     bound already rules out acceptance, without scheduling them.  [memo]

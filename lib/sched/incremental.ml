@@ -22,8 +22,8 @@ module Trace = Crusade_util.Trace
    marks everything the clustering change perturbed, so the adopted
    prefix still replays bit-identically and only the cut region is
    rescheduled.  The list is a single [Atomic]: recordings are immutable
-   once captured, so concurrent evaluation domains may read it safely,
-   and a lost race on publication merely keeps equally valid
+   once captured, so portfolio trajectories on other domains may read it
+   safely, and a lost race on publication merely keeps equally valid
    recordings. *)
 
 (* The slot store is separable from the engine so that several engines

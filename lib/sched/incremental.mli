@@ -26,8 +26,8 @@
     rescheduled.  Within one trajectory adoption never fires (all of its
     bases share its clustering identity); it pays off when several
     engines share a {!Store.t}, as portfolio trajectories do.  The list
-    is an atomic holding immutable values, so the parallel evaluation
-    path may share it across domains. *)
+    is an atomic holding immutable values, so trajectories on different
+    domains may share it. *)
 
 (** A shareable slot store.  Engines created over the same store publish
     and look up recordings in one MRU list, letting portfolio

@@ -15,8 +15,7 @@
     can never leak across unrelated runs, and the hit/miss/prune
     counters attribute to exactly one run instead of accumulating in
     process-global atomics.  Each table is an LRU of 64 entries behind
-    its own mutex (the parallel evaluation path calls it from several
-    domains; scheduling itself runs outside the lock).  Cached
+    its own mutex (scheduling itself runs outside the lock).  Cached
     {!Schedule.t} values are shared — callers must treat them as
     read-only, which every caller in this repository already does. *)
 

@@ -162,8 +162,8 @@ type spec_static = {
 (* Keyed by spec identity, bounded: processes that alternate specs
    (crusade_fuzz, batch drivers) previously thrashed a single slot and
    recomputed the statics on every switch.  The [Atomic] keeps
-   concurrent evaluation domains safe: a lost CAS race merely leaves an
-   equivalent immutable value uncached. *)
+   portfolio trajectories and server jobs on other domains safe: a lost
+   CAS race merely leaves an equivalent immutable value uncached. *)
 let spec_static_capacity = 8
 
 let spec_static_cache : spec_static list Atomic.t = Atomic.make []

@@ -220,8 +220,9 @@ let parse_request cfg body =
       } )
 
 (* The half of the request that determines the result.  [jobs] is
-   deliberately absent: synthesis results are bit-identical across jobs
-   counts, so runs differing only in parallelism share a cache line. *)
+   deliberately absent: it only sets how many domains a portfolio's
+   trajectories spread over, and the winner is the same for any count,
+   so runs differing only in parallelism share a cache line. *)
 let options_canonical req =
   String.concat ";"
     [
@@ -656,6 +657,11 @@ let handle_conn t fd =
   try loop () with Unix.Unix_error _ -> ()
 
 let listen ?(addr = "127.0.0.1") ~port t =
+  (* A peer that hangs up before reading its responses must cost only
+     its own connection: with SIGPIPE ignored the write raises [EPIPE],
+     which [handle_conn] treats as the end of the connection, instead of
+     the signal killing the process and every running job with it. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string addr, port));
@@ -668,14 +674,25 @@ let listen ?(addr = "127.0.0.1") ~port t =
   t.listener <- Some fd;
   (fd, actual)
 
+(* Transient accept failures never end the loop: a connection aborted
+   before it was accepted or an interrupted call retries at once, and
+   running out of descriptors or buffers retries after a pause that
+   lets open connections close.  Only [stop] ends the loop; any other
+   error is raised. *)
 let serve t fd =
   let rec loop () =
     match Unix.accept fd with
     | cfd, _ ->
         ignore (Thread.create (fun () -> handle_conn t cfd) ());
         loop ()
-    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> loop ()
-    | exception Unix.Unix_error (_, _, _) -> if not t.stopped then () else ()
+    | exception Unix.Unix_error _ when t.stopped -> ()
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+        loop ()
+    | exception
+        Unix.Unix_error
+          ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _) ->
+        Thread.delay 0.05;
+        loop ()
   in
   loop ()
 

@@ -30,7 +30,9 @@
 type config = {
   max_in_flight : int;  (** jobs running concurrently on the pool *)
   queue_cap : int;  (** admitted-but-waiting bound; 503 when full *)
-  default_jobs : int;  (** per-job evaluation parallelism default *)
+  default_jobs : int;
+      (** default [options.jobs] of a job: the domains its portfolio
+          trajectories spread over *)
   lib : Crusade_resource.Library.t;  (** PE library specs resolve against *)
   pre_run : (string -> unit) option;
       (** test hook: called with the job id on the worker domain after
@@ -39,8 +41,8 @@ type config = {
 }
 
 val default_config : unit -> config
-(** max_in_flight 2, queue_cap 64, [Pool.default_jobs ()] evaluation
-    jobs, the stock library, no test hook. *)
+(** max_in_flight 2, queue_cap 64, [Pool.default_jobs ()] portfolio
+    domains, the stock library, no test hook. *)
 
 type t
 
@@ -55,12 +57,17 @@ val stats_json : t -> string
 
 val listen : ?addr:string -> port:int -> t -> Unix.file_descr * int
 (** Binds and listens ([port = 0] picks an ephemeral port); returns the
-    listening socket and the actual port. *)
+    listening socket and the actual port.  Ignores [SIGPIPE] for the
+    whole process, so a write to a peer that hung up fails with [EPIPE]
+    and drops only that connection. *)
 
 val serve : t -> Unix.file_descr -> unit
 (** Blocking accept loop on an already-listening socket; one thread per
     connection, keep-alive until the peer closes (or sends
-    [Connection: close]).  Returns when {!stop} closes the socket. *)
+    [Connection: close]).  [EINTR] and [ECONNABORTED] are retried at
+    once; [EMFILE], [ENFILE], [ENOBUFS] and [ENOMEM] after a short
+    pause.  Returns when {!stop} closes the socket; any other accept
+    error is raised. *)
 
 val start : ?addr:string -> port:int -> t -> int
 (** {!listen} + {!serve} on a background thread; returns the port. *)

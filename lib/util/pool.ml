@@ -54,9 +54,9 @@ let shutdown t =
   t.stop <- false
 
 (* Grow the worker set to [n] domains (idempotent).  [t.workers] is
-   mutated under the pool mutex: portfolio trajectories running on
-   worker domains may hit a nested [map_n] concurrently with the
-   orchestrating domain growing the pool. *)
+   mutated under the pool mutex: server jobs running on worker domains
+   may start a portfolio's [map_n] concurrently with another domain
+   growing the pool. *)
 let ensure_workers t n =
   let n = min n max_workers in
   Mutex.lock t.mutex;
@@ -132,32 +132,6 @@ let map_n ?jobs t f n =
     Mutex.unlock finished_mutex;
     Array.iter (function Some e -> raise e | None -> ()) errors;
     Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let parallel_map ?jobs t f arr = map_n ?jobs t (fun i -> f arr.(i)) (Array.length arr)
-
-let parallel_find_first ?jobs t f n =
-  let jobs =
-    match jobs with Some j -> effective_jobs j | None -> recommended_jobs ()
-  in
-  if jobs <= 1 then begin
-    let rec scan i = if i >= n then None else match f i with Some _ as r -> r | None -> scan (i + 1) in
-    scan 0
-  end
-  else begin
-    let rec scan_from start =
-      if start >= n then None
-      else begin
-        let batch = min jobs (n - start) in
-        let results = map_n ~jobs t (fun k -> f (start + k)) batch in
-        let rec pick k =
-          if k >= batch then scan_from (start + batch)
-          else match results.(k) with Some _ as r -> r | None -> pick (k + 1)
-        in
-        pick 0
-      end
-    in
-    scan_from 0
   end
 
 let global_pool = ref None

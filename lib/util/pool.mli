@@ -19,8 +19,8 @@ val create : unit -> t
     domain (which always participates). *)
 
 val global : unit -> t
-(** The shared process-wide pool used by the synthesis hot loops.  Its
-    workers are joined automatically at exit. *)
+(** The shared process-wide pool that portfolio trajectories and server
+    jobs run on.  Its workers are joined automatically at exit. *)
 
 val recommended_jobs : unit -> int
 (** [max 1 (Domain.recommended_domain_count () - 1)]: the parallelism
@@ -57,16 +57,6 @@ val map_n : ?jobs:int -> t -> (int -> 'a) -> int -> 'a array
     would only time-share cores — and the cap never changes results,
     which are in index order; the lowest-index exception is
     re-raised. *)
-
-val parallel_map : ?jobs:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** Element-wise {!map_n} over an array. *)
-
-val parallel_find_first : ?jobs:int -> t -> (int -> 'a option) -> int -> 'a option
-(** [parallel_find_first ~jobs t f n] returns [f i] for the {e smallest}
-    [i < n] with [f i <> None], evaluating candidates in index-ordered
-    batches of [jobs]; later batches are not evaluated once an earlier
-    batch produced a hit.  Deterministic: the winner never depends on
-    relative domain speed. *)
 
 val shutdown : t -> unit
 (** Joins all workers.  The pool remains usable afterwards only

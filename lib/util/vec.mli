@@ -32,4 +32,4 @@ val to_list : 'a t -> 'a list
 
 val map_copy : ('a -> 'a) -> 'a t -> 'a t
 (** Fresh vector whose elements are [f] of the originals; used to deep
-    copy architectures in the allocation inner loop. *)
+    copy architectures. *)

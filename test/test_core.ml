@@ -62,36 +62,6 @@ let synthesis_deterministic () =
   check Alcotest.int "same PEs" a.C.n_pes b.C.n_pes;
   check Alcotest.int "same links" a.C.n_links b.C.n_links
 
-(* The domain pool must be an invisible optimization: synthesizing with
-   4 domains commits exactly the candidates the sequential search would
-   have committed (lowest-index-wins batching), so every architectural
-   figure of merit matches bit for bit. *)
-let parallel_jobs_deterministic () =
-  List.iter
-    (fun preset ->
-      let spec = W.generate stock (W.scaled (W.preset preset) 16.0) in
-      let run jobs =
-        match
-          C.synthesize ~options:{ C.default_options with C.jobs } spec stock
-        with
-        | Ok r -> r
-        | Error m -> Alcotest.fail m
-      in
-      let seq = run 1 in
-      let par = run 4 in
-      check (Alcotest.float 1e-9) (preset ^ ": same cost") seq.C.cost par.C.cost;
-      check Alcotest.int (preset ^ ": same PEs") seq.C.n_pes par.C.n_pes;
-      check Alcotest.int (preset ^ ": same links") seq.C.n_links par.C.n_links;
-      check Alcotest.int (preset ^ ": same images") seq.C.n_modes par.C.n_modes;
-      check Alcotest.int
-        (preset ^ ": same tardiness")
-        seq.C.schedule.Schedule.total_tardiness
-        par.C.schedule.Schedule.total_tardiness;
-      check Alcotest.bool
-        (preset ^ ": same verdict")
-        seq.C.deadlines_met par.C.deadlines_met)
-    [ "A1TR"; "VDRTX" ]
-
 (* The reconfiguration-saves spot check moved to test_presets.ml, which
    pins all eight presets' costs for both variants exactly. *)
 
@@ -168,7 +138,6 @@ let suite =
     Alcotest.test_case "figure4 architecture" `Quick figure4_expected_architecture;
     Alcotest.test_case "multirate association array" `Quick multirate_association_array;
     Alcotest.test_case "synthesis deterministic" `Quick synthesis_deterministic;
-    Alcotest.test_case "parallel jobs deterministic" `Quick parallel_jobs_deterministic;
     Alcotest.test_case "clustering ablation" `Slow clustering_ablation;
     Alcotest.test_case "interface synthesized" `Quick interface_always_synthesized;
     Alcotest.test_case "merge stats reported" `Quick merge_stats_reported;

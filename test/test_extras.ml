@@ -3,7 +3,7 @@
    textual spec format and field-upgrade analysis. *)
 
 module C = Crusade.Crusade_core
-module U = Crusade.Upgrade
+module R = C.Resynth
 module Spec = Crusade_taskgraph.Spec
 module Dsl = Crusade_taskgraph.Dsl
 module Task = Crusade_taskgraph.Task
@@ -228,19 +228,28 @@ let dsl_file_roundtrip () =
 
 (* --- Upgrade --- *)
 
+(* The base without the upgrade graphs, then the feature release as a
+   field-upgrade change on it. *)
+let upgrade spec ~upgrade_graphs =
+  Result.bind
+    (C.synthesize
+       ~include_graph:(fun g -> not (List.mem g upgrade_graphs))
+       spec lib)
+    (fun base -> R.apply base (R.Upgrade upgrade_graphs))
+
 let upgrade_reprogramming_only () =
   let spec, upgrade_graphs = Ex.upgrade_scenario lib in
-  match U.analyze spec lib ~upgrade_graphs with
+  match upgrade spec ~upgrade_graphs with
   | Error msg -> Alcotest.fail msg
-  | Ok { base; verdict; _ } -> (
+  | Ok { R.deployed = base; verdict; _ } -> (
       check Alcotest.bool "base deadlines met" true base.C.deadlines_met;
       match verdict with
-      | U.Reprogramming_only { result; added_images } ->
+      | R.Images_only { result; added_images } ->
           check Alcotest.bool "upgraded deadlines met" true result.C.deadlines_met;
           check Alcotest.bool "ships as new images" true (added_images > 0);
           check Alcotest.int "no new hardware" base.C.n_pes result.C.n_pes
-      | U.Needs_hardware _ -> Alcotest.fail "scenario fits the deployed devices"
-      | U.Infeasible msg -> Alcotest.failf "unexpectedly infeasible: %s" msg)
+      | R.Needs_hardware _ -> Alcotest.fail "scenario fits the deployed devices"
+      | R.Infeasible -> Alcotest.fail "unexpectedly infeasible")
 
 let upgrade_needs_hardware_when_full () =
   (* an upgrade graph overlapping the framer cannot time-share: it needs
@@ -259,16 +268,16 @@ let upgrade_needs_hardware_when_full () =
     (Spec.Builder.add_task b ~graph:up_g ~name:"u0" ~exec:(Helpers.fpga_exec 3_000)
        ~gates:120 ~pins:8 ());
   let spec = Spec.Builder.finish_exn b ~name:"crowded" () in
-  match U.analyze spec lib ~upgrade_graphs:[ up_g ] with
+  match upgrade spec ~upgrade_graphs:[ up_g ] with
   | Error msg -> Alcotest.fail msg
-  | Ok { verdict; _ } -> (
+  | Ok { R.verdict; _ } -> (
       match verdict with
-      | U.Needs_hardware { added_pes; added_cost; _ } ->
+      | R.Needs_hardware { added_pes; added_cost; _ } ->
           check Alcotest.bool "new hardware" true (added_pes > 0);
           check Alcotest.bool "added cost" true (added_cost > 0.0)
-      | U.Reprogramming_only _ ->
+      | R.Images_only _ ->
           Alcotest.fail "overlapping 120-gate blocks cannot share F1/F2 modes"
-      | U.Infeasible msg -> Alcotest.failf "unexpectedly infeasible: %s" msg)
+      | R.Infeasible -> Alcotest.fail "unexpectedly infeasible")
 
 let continue_allocation_noop_when_complete () =
   let spec = Ex.figure2 lib in

@@ -31,10 +31,11 @@ let signature (r : C.result) =
   Printf.sprintf "cost=%h met=%b pes=%d links=%d modes=%d" r.C.cost
     r.C.deadlines_met r.C.n_pes r.C.n_links r.C.n_modes
 
-let run ?jobs ?budget_ms ?seed ?use_bound ~n spec =
+let run ?(jobs = 1) ?budget_ms ?seed ?use_bound ~n spec =
   match
-    C.Portfolio.run ?jobs ?budget_ms ?seed ?use_bound ~n
-      ~options:C.default_options ~flow:(flow_of spec) ~cost ~met ()
+    C.Portfolio.run ?budget_ms ?seed ?use_bound ~n
+      ~options:{ C.default_options with C.jobs }
+      ~flow:(flow_of spec) ~cost ~met ()
   with
   | Ok o -> o
   | Error msg -> Alcotest.failf "portfolio run failed: %s" msg

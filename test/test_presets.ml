@@ -96,7 +96,7 @@ let portfolio_golden =
 let actual_portfolio_row name =
   let spec = W.generate Helpers.stock_lib (W.scaled (W.preset name) 16.0) in
   match
-    C.Portfolio.run ~jobs:2 ~n:4 ~options:C.default_options
+    C.Portfolio.run ~n:4 ~options:{ C.default_options with C.jobs = 2 }
       ~flow:(fun o -> C.synthesize ~options:o spec Helpers.stock_lib)
       ~cost:(fun (r : C.result) -> r.C.cost)
       ~met:(fun (r : C.result) -> r.C.deadlines_met)

@@ -160,30 +160,6 @@ let merge_potential_counts () =
   let _, _, arch = two_device_arch () in
   check Alcotest.int "2 PPEs + 0 links" 2 (Merge.merge_potential arch)
 
-(* The in-place journaled merge loop (incremental_merge, the default at
-   jobs = 1) must reproduce the batch per-trial-copy loop bit for bit:
-   same accepted architecture, same schedule, same stats counters. *)
-let merge_incremental_matches_batch () =
-  let spec, clustering, arch = two_device_arch ~overlap:false () in
-  let run incremental_merge =
-    match
-      Merge.optimize ~incremental_merge ~memo:(Memo.create ()) spec clustering
-        arch
-    with
-    | Ok out -> out
-    | Error m -> Alcotest.fail m
-  in
-  let m_inc, s_inc, st_inc = run true in
-  let m_bat, s_bat, st_bat = run false in
-  check (Alcotest.float 1e-9) "cost identical" (Arch.cost m_bat)
-    (Arch.cost m_inc);
-  check Alcotest.int "PEs identical" (Arch.n_pes m_bat) (Arch.n_pes m_inc);
-  check Alcotest.bool "schedules identical" true
-    (s_bat.Schedule.instances = s_inc.Schedule.instances
-    && s_bat.Schedule.deadlines_met = s_inc.Schedule.deadlines_met
-    && s_bat.Schedule.total_tardiness = s_inc.Schedule.total_tardiness);
-  check Alcotest.bool "stats identical" true (st_bat = st_inc)
-
 let merge_input_not_mutated () =
   let spec, clustering, arch = two_device_arch ~overlap:false () in
   let before = Arch.cost arch in
@@ -207,6 +183,4 @@ let suite =
     Alcotest.test_case "merge rejects overlapping" `Quick merge_rejects_overlapping;
     Alcotest.test_case "merge potential" `Quick merge_potential_counts;
     Alcotest.test_case "merge does not mutate input" `Quick merge_input_not_mutated;
-    Alcotest.test_case "merge incremental matches batch" `Quick
-      merge_incremental_matches_batch;
   ]

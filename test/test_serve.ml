@@ -717,6 +717,30 @@ let socket_pipelining () =
   in
   check Alcotest.int "both pipelined responses arrive" 2 count_bodies
 
+(* A client that pipelines many requests and hangs up without reading
+   the responses: the server's writes then hit a closed peer.  That must
+   cost the connection, not the process — under SIGPIPE's default
+   action it kills the server, and this test runner with it. *)
+let socket_hangup_mid_pipeline () =
+  let t = mk_server () in
+  let port = Server.start ~port:0 t in
+  Fun.protect ~finally:(fun () -> Server.stop t) @@ fun () ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let wire =
+    String.concat "" (List.init 200 (fun _ -> "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n"))
+  in
+  let rec send off =
+    if off < String.length wire then
+      send (off + Unix.write_substring fd wire off (String.length wire - off))
+  in
+  send 0;
+  Unix.close fd;
+  (* Give the connection thread time to write into the dead socket. *)
+  Thread.delay 0.3;
+  let status, _ = http_request ~port "GET" "/healthz" "" in
+  check Alcotest.int "healthz on a new connection" 200 status
+
 let suite =
   [
     Alcotest.test_case "http: simple GET" `Quick simple_get;
@@ -758,4 +782,6 @@ let suite =
     Alcotest.test_case "api: stats shape" `Quick stats_shape;
     Alcotest.test_case "socket: black box" `Quick black_box_over_sockets;
     Alcotest.test_case "socket: pipelining" `Quick socket_pipelining;
+    Alcotest.test_case "socket: hang-up mid-pipeline" `Quick
+      socket_hangup_mid_pipeline;
   ]

@@ -1,28 +1,37 @@
-(* Field-upgrade analysis (Upgrade.analyze): one scenario per verdict. *)
+(* Field-upgrade analysis: the base is synthesized without the upgrade
+   graphs, then [Resynth.apply] takes the feature release as an [Upgrade]
+   change.  One scenario per verdict. *)
 
 module C = Crusade.Crusade_core
-module Upgrade = Crusade.Upgrade
+module R = C.Resynth
 module Spec = Crusade_taskgraph.Spec
 module Ex = Crusade_workloads.Examples
 
 let check = Alcotest.check
 
+let analyze ?(options = C.default_options) spec ~upgrade_graphs =
+  Result.bind
+    (C.synthesize ~options
+       ~include_graph:(fun g -> not (List.mem g upgrade_graphs))
+       spec Helpers.small_lib)
+    (fun base -> R.apply ~options base (R.Upgrade upgrade_graphs))
+
 (* The stock scenario fits the idle slots of the deployed FPGAs, so the
    feature release ships as configuration images alone. *)
 let reprogramming_only () =
   let spec, upgrade_graphs = Ex.upgrade_scenario Helpers.small_lib in
-  match Upgrade.analyze spec Helpers.small_lib ~upgrade_graphs with
+  match analyze spec ~upgrade_graphs with
   | Error m -> Alcotest.fail m
-  | Ok { base; verdict; _ } -> (
+  | Ok { R.deployed = base; verdict; _ } -> (
       check Alcotest.bool "base meets deadlines" true base.C.deadlines_met;
       match verdict with
-      | Upgrade.Reprogramming_only { result; added_images } ->
+      | R.Images_only { result; added_images } ->
           check Alcotest.bool "upgraded system meets deadlines" true
             result.C.deadlines_met;
           check Alcotest.bool "ships at least one new image" true (added_images > 0);
           check Alcotest.bool "no new PEs" true (result.C.n_pes = base.C.n_pes)
-      | Upgrade.Needs_hardware _ -> Alcotest.fail "expected a pure reprogramming upgrade"
-      | Upgrade.Infeasible m -> Alcotest.failf "unexpectedly infeasible: %s" m)
+      | R.Needs_hardware _ -> Alcotest.fail "expected a pure reprogramming upgrade"
+      | R.Infeasible -> Alcotest.fail "unexpectedly infeasible")
 
 (* Base product is pure software, so no FPGA is deployed; a hardware-only
    upgrade task then forces new parts. *)
@@ -42,20 +51,20 @@ let needs_hardware () =
       ~exec:(Helpers.fpga_exec 2_000) ~gates:80 ~pins:8 ()
   in
   let spec = Spec.Builder.finish_exn b ~name:"hw-upgrade" () in
-  match Upgrade.analyze spec Helpers.small_lib ~upgrade_graphs:[ up_g ] with
+  match analyze spec ~upgrade_graphs:[ up_g ] with
   | Error m -> Alcotest.fail m
-  | Ok { base; verdict; _ } -> (
+  | Ok { R.deployed = base; verdict; _ } -> (
       match verdict with
-      | Upgrade.Needs_hardware { result; added_pes; added_cost } ->
+      | R.Needs_hardware { result; added_pes; added_cost } ->
           check Alcotest.bool "upgraded system meets deadlines" true
             result.C.deadlines_met;
           check Alcotest.bool "adds at least one PE" true (added_pes >= 1);
           check Alcotest.bool "added cost is positive" true (added_cost > 0.0);
           check Alcotest.bool "cost grows over the base" true
             (result.C.cost > base.C.cost)
-      | Upgrade.Reprogramming_only _ ->
+      | R.Images_only _ ->
           Alcotest.fail "a software-only base cannot host an FPGA task"
-      | Upgrade.Infeasible m -> Alcotest.failf "unexpectedly infeasible: %s" m)
+      | R.Infeasible -> Alcotest.fail "unexpectedly infeasible")
 
 (* The upgrade task cannot meet its deadline on any PE type, new hardware
    or not. *)
@@ -73,45 +82,46 @@ let doomed_spec () =
 
 let infeasible () =
   let spec, up_g = doomed_spec () in
-  match Upgrade.analyze spec Helpers.small_lib ~upgrade_graphs:[ up_g ] with
+  match analyze spec ~upgrade_graphs:[ up_g ] with
   | Error m -> Alcotest.fail m
-  | Ok { verdict; _ } -> (
+  | Ok { R.verdict; _ } -> (
       match verdict with
-      | Upgrade.Infeasible _ -> ()
-      | Upgrade.Reprogramming_only _ | Upgrade.Needs_hardware _ ->
+      | R.Infeasible -> ()
+      | R.Images_only _ | R.Needs_hardware _ ->
           Alcotest.fail "a 9ms task cannot meet a 1ms deadline")
 
-(* Regression: the first attempt's failure used to be discarded — an
-   infeasible verdict now surfaces why each attempt failed. *)
+(* An infeasible verdict carries why each attempt failed: the
+   reprogramming-only attempt and the new-hardware attempt both ran and
+   both missed. *)
 let infeasible_reports_both_attempts () =
   let spec, up_g = doomed_spec () in
-  match Upgrade.analyze spec Helpers.small_lib ~upgrade_graphs:[ up_g ] with
+  match analyze spec ~upgrade_graphs:[ up_g ] with
   | Error m -> Alcotest.fail m
-  | Ok { verdict; reprogram_attempt; hardware_attempt; _ } -> (
+  | Ok { R.verdict; reprogram_attempt; hardware_attempt; _ } -> (
       (match reprogram_attempt with
-      | C.Resynth.Met -> Alcotest.fail "reprogramming cannot have met deadlines"
-      | C.Resynth.Tardy _ | C.Resynth.Failed _ -> ());
+      | R.Met -> Alcotest.fail "reprogramming cannot have met deadlines"
+      | R.Tardy _ | R.Failed _ -> ());
       (match hardware_attempt with
       | None -> Alcotest.fail "the new-hardware attempt must have run"
-      | Some C.Resynth.Met ->
-          Alcotest.fail "new hardware cannot have met deadlines"
-      | Some (C.Resynth.Tardy _ | C.Resynth.Failed _) -> ());
+      | Some R.Met -> Alcotest.fail "new hardware cannot have met deadlines"
+      | Some (R.Tardy _ | R.Failed _) -> ());
       match verdict with
-      | Upgrade.Infeasible msg ->
-          check Alcotest.bool "message names the reprogramming attempt" true
-            (Helpers.contains msg "reprogramming-only:");
-          check Alcotest.bool "message names the hardware attempt" true
-            (Helpers.contains msg "with new hardware:")
-      | Upgrade.Reprogramming_only _ | Upgrade.Needs_hardware _ ->
+      | R.Infeasible -> ()
+      | R.Images_only _ | R.Needs_hardware _ ->
           Alcotest.fail "expected an infeasible verdict")
 
-(* The audit covers both the base architecture and the upgraded one. *)
+(* The audit covers both the base architecture (coverage restricted to
+   the graphs it was synthesized with) and the upgraded one. *)
 let report_audits_clean () =
   let spec, upgrade_graphs = Ex.upgrade_scenario Helpers.small_lib in
-  match Upgrade.analyze spec Helpers.small_lib ~upgrade_graphs with
+  match analyze spec ~upgrade_graphs with
   | Error m -> Alcotest.fail m
-  | Ok report -> (
-      match Upgrade.audit report with
+  | Ok rep -> (
+      let base = rep.R.deployed in
+      match
+        C.audit ~include_graph:(R.expected_graphs base (R.Upgrade [])) base
+        @ R.audit_report rep
+      with
       | [] -> ()
       | vs -> Alcotest.failf "upgrade report fails its audit (%d)" (List.length vs))
 
@@ -119,13 +129,13 @@ let report_audits_clean () =
    under: incremental rescheduling off, and perturbed portfolio
    trajectory options. *)
 let verdict_constructor = function
-  | Upgrade.Reprogramming_only _ -> "reprogramming-only"
-  | Upgrade.Needs_hardware _ -> "needs-hardware"
-  | Upgrade.Infeasible _ -> "infeasible"
+  | R.Images_only _ -> "images-only"
+  | R.Needs_hardware _ -> "needs-hardware"
+  | R.Infeasible -> "infeasible"
 
 let analyze_with options =
   let spec, upgrade_graphs = Ex.upgrade_scenario Helpers.small_lib in
-  match Upgrade.analyze ~options spec Helpers.small_lib ~upgrade_graphs with
+  match analyze ~options spec ~upgrade_graphs with
   | Error m -> Alcotest.fail m
   | Ok r -> r
 
@@ -133,18 +143,17 @@ let stable_under_incremental () =
   let base = analyze_with C.default_options in
   let no_inc = analyze_with { C.default_options with C.incremental = false } in
   check Alcotest.string "verdict is incremental-independent"
-    (verdict_constructor base.Upgrade.verdict)
-    (verdict_constructor no_inc.Upgrade.verdict)
+    (verdict_constructor base.R.verdict)
+    (verdict_constructor no_inc.R.verdict)
 
 let feasible_under_portfolio_options () =
   (* A perturbed trajectory explores a different commit order but must
      still find the stock scenario upgradable without new parts. *)
   let options = C.Portfolio.trajectory_options C.default_options ~seed:7 ~index:2 in
   let r = analyze_with options in
-  match r.Upgrade.verdict with
-  | Upgrade.Reprogramming_only _ | Upgrade.Needs_hardware _ -> ()
-  | Upgrade.Infeasible m ->
-      Alcotest.failf "perturbed trajectory lost feasibility: %s" m
+  match r.R.verdict with
+  | R.Images_only _ | R.Needs_hardware _ -> ()
+  | R.Infeasible -> Alcotest.fail "perturbed trajectory lost feasibility"
 
 let suite =
   [

@@ -454,10 +454,6 @@ let pool_map_ordering () =
   let pool = Pool.create () in
   let squares = Pool.map_n ~jobs:4 pool (fun i -> i * i) 100 in
   Array.iteri (fun i v -> check Alcotest.int "index order" (i * i) v) squares;
-  let incremented =
-    Pool.parallel_map ~jobs:3 pool (fun x -> x + 1) (Array.init 10 Fun.id)
-  in
-  Array.iteri (fun i v -> check Alcotest.int "parallel_map order" (i + 1) v) incremented;
   check Alcotest.int "empty input" 0 (Array.length (Pool.map_n ~jobs:4 pool Fun.id 0));
   (* jobs = 1 must not involve any worker domain *)
   let seq = Pool.map_n ~jobs:1 pool (fun i -> 2 * i) 5 in
@@ -502,26 +498,6 @@ let pool_size_warm_submit () =
   (* submitted work coexists with the map entry points on one queue *)
   let doubled = Pool.map_n ~jobs:2 pool (fun i -> 2 * i) 6 in
   check Alcotest.(array int) "map after submit" [| 0; 2; 4; 6; 8; 10 |] doubled;
-  Pool.shutdown pool
-
-let pool_find_first () =
-  let pool = Pool.create () in
-  check
-    Alcotest.(option int)
-    "lowest hit wins" (Some 13)
-    (Pool.parallel_find_first ~jobs:4 pool
-       (fun i -> if i >= 13 then Some i else None)
-       100);
-  check
-    Alcotest.(option int)
-    "no hit" None
-    (Pool.parallel_find_first ~jobs:4 pool (fun _ -> None) 50);
-  check
-    Alcotest.(option int)
-    "sequential path" (Some 2)
-    (Pool.parallel_find_first ~jobs:1 pool
-       (fun i -> if i = 2 then Some i else None)
-       10);
   Pool.shutdown pool
 
 let suite =
@@ -575,6 +551,5 @@ let suite =
     Alcotest.test_case "metrics registry" `Quick metrics_registry;
     Alcotest.test_case "pool map ordering" `Quick pool_map_ordering;
     Alcotest.test_case "pool exception propagation" `Quick pool_exception_propagation;
-    Alcotest.test_case "pool find first" `Quick pool_find_first;
     Alcotest.test_case "pool size/warm/submit" `Quick pool_size_warm_submit;
   ]
