@@ -27,9 +27,9 @@
    domains (also the CRUSADE_JOBS env var); a single synthesis always
    runs on one domain, so results never depend on it.
 
-   --no-prune / --no-memo / --no-incremental disable the evaluator
-   stages (the stage-1 tardiness lower bound, the stage-2 schedule memo
-   table, the incremental prefix-replay engine); results are
+   --no-prune disables the stage-1 tardiness lower bound and
+   --no-incremental selects the reference evaluator (a full scheduler
+   run per evaluation instead of prefix replay); results are
    bit-identical either way, only the timings move.
 
    --only NAME[,NAME] restricts table2/table3 to the named examples.
@@ -50,7 +50,7 @@
 
    Alongside the text tables, every synthesis run is appended to a
    machine-readable BENCH.json (per-workload wall/cpu seconds, cost,
-   prune/memo-hit counters, jobs); --bench-out PATH overrides the
+   evaluator counters, jobs); --bench-out PATH overrides the
    destination.
 
    --trace FILE writes a Chrome trace_event JSON profile covering every
@@ -217,14 +217,13 @@ type scenario_record = {
 
 let scenario_records : scenario_record list ref = ref []
 
-let write_bench_json ~prune ~memo ~incremental path =
+let write_bench_json ~prune ~incremental path =
   let entries = List.rev !bench_records in
   let oc = open_out path in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"crusade-bench-2\",\n";
   Buffer.add_string b (Printf.sprintf "  \"prune\": %b,\n" prune);
-  Buffer.add_string b (Printf.sprintf "  \"memo\": %b,\n" memo);
   Buffer.add_string b (Printf.sprintf "  \"incremental\": %b,\n" incremental);
   Buffer.add_string b "  \"entries\": [";
   List.iteri
@@ -261,15 +260,13 @@ let write_bench_json ~prune ~memo ~incremental path =
            "\n    {\"table\": %S, \"example\": %S, \"variant\": %S, \"jobs\": %d, \
             \"scale\": %d, \
             \"wall_seconds\": %.6f, \"cpu_seconds\": %.6f, \"cost\": %.3f, \
-            \"deadlines_met\": %b, \"pruned\": %d, \"memo_hits\": %d, \
-            \"memo_misses\": %d, \"memo_bypassed\": %d, \"rollbacks\": %d, \
+            \"deadlines_met\": %b, \"pruned\": %d, \"rollbacks\": %d, \
             \"replays\": %d, \"rebuilds\": %d, \"merge_replays\": %d, \
             \"merge_rebuilds\": %d, \"basis_adoptions\": %d, \
             \"basis_cuts\": %d%s%s}"
            e.br_table e.br_example e.br_variant e.br_jobs e.br_scale e.br_wall
            e.br_cpu e.br_cost e.br_met e.br_stats.C.pruned
-           e.br_stats.C.memo_hits e.br_stats.C.memo_misses
-           e.br_stats.C.memo_bypassed e.br_stats.C.rollbacks
+           e.br_stats.C.rollbacks
            e.br_stats.C.replays e.br_stats.C.rebuilds
            e.br_stats.C.merge_replays e.br_stats.C.merge_rebuilds
            e.br_stats.C.basis_adoptions e.br_stats.C.basis_cuts audit_fields
@@ -332,7 +329,7 @@ let run_flow ~portfolio ~options ~flow ~cost ~met =
     | Error msg -> Error msg
   end
 
-let synth_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale ~table ~example
+let synth_row ~jobs ~prune ~incremental ~portfolio ~scale ~table ~example
     spec lib reconfig =
   let options =
     {
@@ -340,7 +337,6 @@ let synth_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale ~table ~example
       dynamic_reconfiguration = reconfig;
       jobs;
       prune;
-      memo;
       incremental;
       trace = !trace_sink;
     }
@@ -373,7 +369,7 @@ let synth_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale ~table ~example
       (r.C.n_pes, r.C.n_links, r.C.cpu_seconds, r.C.cost, r.C.deadlines_met)
   | Error msg -> failwith msg
 
-let ft_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale ~table ~example
+let ft_row ~jobs ~prune ~incremental ~portfolio ~scale ~table ~example
     spec lib reconfig =
   let options =
     {
@@ -381,7 +377,6 @@ let ft_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale ~table ~example
       dynamic_reconfiguration = reconfig;
       jobs;
       prune;
-      memo;
       incremental;
       trace = !trace_sink;
     }
@@ -470,29 +465,29 @@ let comparison_table ~title ~paper ~scale ~only ~row_of =
        ~header rows);
   print_newline ()
 
-let table2 ~scale ~jobs ~prune ~memo ~incremental ~portfolio ~only () =
+let table2 ~scale ~jobs ~prune ~incremental ~portfolio ~only () =
   comparison_table
     ~title:"Table 2: efficacy of CRUSADE (- without / + with dynamic reconfiguration)"
     ~paper:paper_table2 ~scale ~only
     ~row_of:
-      (synth_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale
+      (synth_row ~jobs ~prune ~incremental ~portfolio ~scale
          ~table:"table2")
 
-let table3 ~scale ~jobs ~prune ~memo ~incremental ~portfolio ~only () =
+let table3 ~scale ~jobs ~prune ~incremental ~portfolio ~only () =
   comparison_table
     ~title:
       "Table 3: efficacy of CRUSADE-FT (- without / + with dynamic reconfiguration)"
     ~paper:paper_table3 ~scale ~only
     ~row_of:
-      (ft_row ~jobs ~prune ~memo ~incremental ~portfolio ~scale
+      (ft_row ~jobs ~prune ~incremental ~portfolio ~scale
          ~table:"table3")
 
-let figures ~prune ~memo ~incremental () =
+let figures ~prune ~incremental () =
   print_endline "== Fig. 2 motivation example (small library) ==";
   let lib = Crusade_resource.Library.small () in
   let spec = Ex.figure2 lib in
   let fig_row =
-    synth_row ~jobs:1 ~prune ~memo ~incremental ~portfolio:1 ~scale:1
+    synth_row ~jobs:1 ~prune ~incremental ~portfolio:1 ~scale:1
       ~table:"figures" ~example:"figure2"
   in
   let p0, l0, _, c0, _ = fig_row spec lib false in
@@ -510,7 +505,6 @@ let figures ~prune ~memo ~incremental () =
       C.default_options with
       dynamic_reconfiguration = true;
       prune;
-      memo;
       incremental;
       trace = !trace_sink;
     }
@@ -755,36 +749,49 @@ let () =
      minor heap a measurable share of the run; a larger nursery trades a
      few MB of RSS for fewer collections. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1024 * 1024 };
-  let args = Array.to_list Sys.argv in
-  let int_flag ?(min = 1) flag default =
-    let rec find = function
-      | f :: n :: _ when f = flag -> (
-          match int_of_string_opt n with
-          | Some v when v >= min -> v
-          | _ ->
-              Printf.eprintf "%s expects an integer >= %d, got %S\n" flag min n;
-              exit 2)
-      | _ :: rest -> find rest
-      | [] -> default
-    in
-    find args
+  (* One pass over the arguments.  Anything that is not a table word, a
+     valued flag with its value or a switch is refused: a misspelt table
+     would otherwise run every table, and a misspelt or retired flag
+     would be ignored. *)
+  let tables =
+    [ "table1"; "table2"; "table3"; "figures"; "bench"; "ablation"; "scenarios"; "all" ]
+  and valued = [ "--scale"; "--jobs"; "--portfolio"; "--only"; "--bench-out"; "--trace" ]
+  and switches = [ "--no-prune"; "--no-incremental"; "--audit"; "--gate-warm" ] in
+  let rec parse words values on = function
+    | [] -> (words, values, on)
+    | flag :: v :: rest when List.mem flag valued ->
+        parse words ((flag, v) :: values) on rest
+    | flag :: rest when List.mem flag switches -> parse words values (flag :: on) rest
+    | word :: rest when List.mem word tables -> parse (word :: words) values on rest
+    | arg :: _ ->
+        Printf.eprintf "bench: %s %S\n  tables: %s\n  flags: %s\n"
+          (if List.mem arg valued then "missing value for" else "unknown argument")
+          arg (String.concat " " tables)
+          (String.concat " " (List.map (fun f -> f ^ " V") valued @ switches));
+        exit 2
   in
+  let words, values, on = parse [] [] [] (List.tl (Array.to_list Sys.argv)) in
+  let switch flag = List.mem flag on in
   let string_flag flag default =
-    let rec find = function
-      | f :: v :: _ when f = flag -> v
-      | _ :: rest -> find rest
-      | [] -> default
-    in
-    find args
+    Option.value (List.assoc_opt flag values) ~default
+  in
+  let int_flag ?(min = 1) flag default =
+    match List.assoc_opt flag values with
+    | None -> default
+    | Some n -> (
+        match int_of_string_opt n with
+        | Some v when v >= min -> v
+        | _ ->
+            Printf.eprintf "%s expects an integer >= %d, got %S\n" flag min n;
+            exit 2)
   in
   let scale = int_flag "--scale" 8 in
   let jobs = int_flag "--jobs" (Crusade_util.Pool.default_jobs ()) in
   (* 0 = one trajectory per available domain (Pool.size); resolved here
      so every row reports the concrete trajectory count. *)
   let portfolio = C.Portfolio.resolve_n (int_flag ~min:0 "--portfolio" 1) in
-  let prune = not (List.mem "--no-prune" args) in
-  let memo = not (List.mem "--no-memo" args) in
-  let incremental = not (List.mem "--no-incremental" args) in
+  let prune = not (switch "--no-prune") in
+  let incremental = not (switch "--no-incremental") in
   let only =
     match string_flag "--only" "" with
     | "" -> []
@@ -800,36 +807,28 @@ let () =
           picked;
         picked
   in
-  audit_flag := List.mem "--audit" args;
+  audit_flag := switch "--audit";
   let bench_out = string_flag "--bench-out" "BENCH.json" in
   let trace_out =
     match string_flag "--trace" "" with "" -> None | path -> Some path
   in
   if trace_out <> None then trace_sink := Some (Crusade_util.Trace.create ());
+  (* No table word (or only "all") runs every table. *)
   let wants what =
-    List.exists (fun a -> a = what) args
-    || not
-         (List.exists
-            (fun a ->
-              List.mem a
-                [
-                  "table1"; "table2"; "table3"; "figures"; "bench"; "ablation";
-                  "scenarios";
-                ])
-            args)
+    List.mem what words || List.for_all (String.equal "all") words
   in
-  if wants "figures" then figures ~prune ~memo ~incremental ();
+  if wants "figures" then figures ~prune ~incremental ();
   if wants "table1" then table1 ();
   if wants "table2" then
-    table2 ~scale ~jobs ~prune ~memo ~incremental ~portfolio ~only ();
+    table2 ~scale ~jobs ~prune ~incremental ~portfolio ~only ();
   if wants "table3" then
-    table3 ~scale ~jobs ~prune ~memo ~incremental ~portfolio ~only ();
+    table3 ~scale ~jobs ~prune ~incremental ~portfolio ~only ();
   if wants "ablation" then ablation ();
   if wants "scenarios" then
-    scenarios ~scale ~only ~gate_warm:(List.mem "--gate-warm" args) ();
+    scenarios ~scale ~only ~gate_warm:(switch "--gate-warm") ();
   if wants "bench" then bechamel_benches ();
   if !bench_records <> [] || !scenario_records <> [] then
-    write_bench_json ~prune ~memo ~incremental bench_out;
+    write_bench_json ~prune ~incremental bench_out;
   match (trace_out, !trace_sink) with
   | Some path, Some t ->
       Crusade_util.Trace.write_file t path;

@@ -2,12 +2,17 @@
 
    Seeds drive [Comm_system.generate] parameters; every seed is
    synthesized under the full evaluator-configuration matrix
-   ({prune,memo} on/off x incremental rescheduling on/off x dynamic
-   reconfiguration on/off) and the harness asserts that
+   (prune on/off x incremental rescheduling or the reference evaluator
+   x dynamic reconfiguration on/off) and the harness asserts that
 
    (a) within each reconfiguration flavor, every evaluator configuration
        produces a bit-identical result (cost, counts, verdict and the
        full schedule fingerprint);
+   (a') every result carries its own architecture's schedule: the
+       fingerprint and verdict of a fresh [Schedule.run] of the result's
+       architecture (the flow hands schedules from phase to phase, and
+       all configurations share those hand-offs, so (a) alone could not
+       see one that kept an earlier architecture's schedule);
    (b) the reference result passes the end-to-end audit
        ([Crusade_core.audit] / [Ft.audit]), which includes the
        independent schedule validation;
@@ -148,21 +153,18 @@ let json_params (p : W.params) =
 type config = {
   reconfig : bool;
   prune : bool;
-  memo : bool;
-  inc : bool;  (* incremental rescheduling *)
+  inc : bool;  (* incremental rescheduling; false = reference evaluator *)
   jobs : int;
 }
 
 let json_config c =
   Printf.sprintf
-    "{\"reconfig\": %b, \"prune\": %b, \"memo\": %b, \"incremental\": %b, \
-     \"jobs\": %d}"
-    c.reconfig c.prune c.memo c.inc c.jobs
+    "{\"reconfig\": %b, \"prune\": %b, \"incremental\": %b, \"jobs\": %d}"
+    c.reconfig c.prune c.inc c.jobs
 
 let describe_config c =
-  Printf.sprintf
-    "reconfig=%b prune=%b memo=%b incremental=%b jobs=%d"
-    c.reconfig c.prune c.memo c.inc c.jobs
+  Printf.sprintf "reconfig=%b prune=%b incremental=%b jobs=%d" c.reconfig
+    c.prune c.inc c.jobs
 
 (* One failure is enough: the repro is minimized by construction (a
    single seed, its generator parameters and the offending
@@ -208,10 +210,10 @@ let params_of_seed seed =
 
 let configs_of reconfig =
   [
-    { reconfig; prune = true; memo = true; inc = true; jobs = 1 };
-    { reconfig; prune = false; memo = false; inc = true; jobs = 1 };
-    { reconfig; prune = true; memo = true; inc = false; jobs = 1 };
-    { reconfig; prune = false; memo = false; inc = false; jobs = 1 };
+    { reconfig; prune = true; inc = true; jobs = 1 };
+    { reconfig; prune = false; inc = true; jobs = 1 };
+    { reconfig; prune = true; inc = false; jobs = 1 };
+    { reconfig; prune = false; inc = false; jobs = 1 };
   ]
 
 let flavors = [ true; false ]
@@ -221,17 +223,9 @@ let options_of (c : config) =
     Core.default_options with
     Core.dynamic_reconfiguration = c.reconfig;
     prune = c.prune;
-    memo = c.memo;
     incremental = c.inc;
     jobs = c.jobs;
   }
-
-let schedule_fingerprint (s : Schedule.t) =
-  Array.fold_left
-    (fun h (i : Schedule.instance) ->
-      Hashtbl.hash
-        (h, i.Schedule.i_task, i.Schedule.i_copy, i.Schedule.start, i.Schedule.finish))
-    0 s.Schedule.instances
 
 let signature_of (r : Core.result) =
   Printf.sprintf
@@ -239,7 +233,26 @@ let signature_of (r : Core.result) =
      schedule=%08x"
     r.Core.cost r.Core.n_pes r.Core.n_links r.Core.n_modes r.Core.deadlines_met
     r.Core.schedule.Schedule.total_tardiness
-    (schedule_fingerprint r.Core.schedule)
+    (Core.schedule_fingerprint r.Core.schedule)
+
+(* Oracle (a'): [r] must carry exactly the schedule a fresh run of its
+   own architecture produces. *)
+let check_schedule_fresh ~out ~kind ~seed ~params ?config (r : Core.result) =
+  let describe (s : Schedule.t) =
+    Printf.sprintf "schedule=%08x deadlines_met=%b tardiness=%d"
+      (Core.schedule_fingerprint s) s.Schedule.deadlines_met
+      s.Schedule.total_tardiness
+  in
+  match Schedule.run r.Core.spec r.Core.clustering r.Core.arch with
+  | Error msg ->
+      fail ~out ~kind ~seed ~params ?config [ "fresh scheduler run: " ^ msg ]
+  | Ok fresh ->
+      if describe fresh <> describe r.Core.schedule then
+        fail ~out ~kind ~seed ~params ?config
+          [
+            Printf.sprintf "carried: %s" (describe r.Core.schedule);
+            Printf.sprintf "fresh:   %s" (describe fresh);
+          ]
 
 let violation_strings vs =
   List.map (fun (v : Audit.violation) -> Printf.sprintf "[%s] %s" v.Audit.rule v.Audit.detail) vs
@@ -251,7 +264,7 @@ let violation_strings vs =
    the incumbent bound on or off — the differential oracle that a bound
    abort never killed a trajectory that would have won. *)
 let portfolio_checks ~out ~jobs_max ~seed ~params ~spec ~ref_sig reconfig =
-  let config jobs = { reconfig; prune = true; memo = true; inc = true; jobs } in
+  let config jobs = { reconfig; prune = true; inc = true; jobs } in
   let flow o = Core.synthesize ~options:o spec lib in
   let cost (r : Core.result) = r.Core.cost in
   let met (r : Core.result) = r.Core.deadlines_met in
@@ -370,6 +383,10 @@ let resynth_checks ~out ~seed ~params ~spec ~options ~reference =
       fail ~out
         ~kind:("resynth-" ^ kind ^ "-audit-violation")
         ~seed ~params (violation_strings vs));
+  Option.iter
+    (check_schedule_fresh ~out ~kind:("resynth-" ^ kind ^ "-stale-schedule")
+       ~seed ~params)
+    (R.final_result rep);
   let scratch =
     match change with
     | R.Graph_arrival _ | R.Upgrade _ | R.Pe_failure _ ->
@@ -503,6 +520,11 @@ let run_seed ~out ~jobs_max ~with_ft seed =
         match results with r :: rest -> (r, rest) | [] -> assert false
       in
       let ref_sig = signature_of reference in
+      List.iter
+        (fun (c, r) ->
+          check_schedule_fresh ~out ~kind:"stale-schedule" ~seed ~params
+            ~config:c r)
+        results;
       List.iter
         (fun (c, r) ->
           let s = signature_of r in
@@ -696,7 +718,7 @@ let replay_corruption (r : Core.result) =
               (* Divergence surfaced as an outright failure: detected. *)
               (name, `Detected)
           | Ok replayed ->
-              if schedule_fingerprint replayed <> schedule_fingerprint fresh
+              if Core.schedule_fingerprint replayed <> Core.schedule_fingerprint fresh
               then (name, `Detected)
               else
                 ( name,
@@ -761,7 +783,7 @@ let merge_basis_corruption (r : Core.result) =
           match Schedule.Replay.replay_run prep with
           | Error _ -> (name, `Detected)
           | Ok replayed ->
-              if schedule_fingerprint replayed <> schedule_fingerprint fresh
+              if Core.schedule_fingerprint replayed <> Core.schedule_fingerprint fresh
               then (name, `Detected)
               else
                 ( name,

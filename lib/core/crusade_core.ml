@@ -5,7 +5,6 @@ module Clustering = Crusade_cluster.Clustering
 module Arch = Crusade_alloc.Arch
 module Options = Crusade_alloc.Options
 module Schedule = Crusade_sched.Schedule
-module Memo = Crusade_sched.Memo
 module Incremental = Crusade_sched.Incremental
 module Merge = Crusade_reconfig.Merge
 module Interface = Crusade_reconfig.Interface
@@ -66,7 +65,6 @@ type options = {
   allow_new_pes : bool;
   jobs : int;
   prune : bool;
-  memo : bool;
   incremental : bool;
   trace : Trace.t option;
   portfolio : traj option;
@@ -84,7 +82,6 @@ let default_options =
     allow_new_pes = true;
     jobs = Pool.default_jobs ();
     prune = true;
-    memo = true;
     incremental = true;
     trace = None;
     portfolio = None;
@@ -133,14 +130,13 @@ type result = {
 let wall_now () = Unix.gettimeofday ()
 
 (* Per-run evaluator state, created at flow start and dropped with the
-   run: the stage-2 memo table (entries retain whole specs and
-   architectures, so it must not outlive the run), the metrics registry
-   its counters live in, and the trace sink.  Nothing here is
+   run: the evaluator (its recordings retain whole specs and
+   architectures, so it must not outlive the run), its counters (in a
+   per-run metrics registry) and the trace sink.  Nothing here is
    process-global — back-to-back or concurrent syntheses report fully
-   independent [eval_stats] and can never share a memo entry. *)
+   independent [eval_stats]. *)
 type ctx = {
-  memo : Memo.t;
-  metrics : Trace.Metrics.t;
+  eval : Incremental.t;
   rollback_counter : Trace.Counter.t;
   trace : Trace.t option;
   check_budget : unit -> unit;
@@ -184,10 +180,9 @@ let make_ctx (opts : options) =
     | None -> None
   in
   {
-    memo =
-      Memo.create ~enabled:opts.memo ~incremental:opts.incremental
-        ?basis_store ?trace:opts.trace ~metrics ();
-    metrics;
+    eval =
+      Incremental.create ~reference:(not opts.incremental) ?store:basis_store
+        ?trace:opts.trace ~metrics ();
     rollback_counter = Trace.Metrics.counter metrics "eval.rollbacks";
     trace = opts.trace;
     check_budget;
@@ -198,17 +193,17 @@ let make_ctx (opts : options) =
 
 let eval_stats_of ctx =
   {
-    pruned = Memo.prunes ctx.memo;
-    memo_hits = Memo.hits ctx.memo;
-    memo_misses = Memo.misses ctx.memo;
-    memo_bypassed = Memo.bypasses ctx.memo;
+    pruned = Incremental.prunes ctx.eval;
+    memo_hits = 0;
+    memo_misses = 0;
+    memo_bypassed = 0;
     rollbacks = Trace.Counter.get ctx.rollback_counter;
-    replays = Memo.replays ctx.memo;
-    rebuilds = Memo.rebuilds ctx.memo;
+    replays = Incremental.replays ctx.eval;
+    rebuilds = Incremental.rebuilds ctx.eval;
     merge_replays = ctx.merge_replays;
     merge_rebuilds = ctx.merge_rebuilds;
-    basis_adoptions = Memo.adoptions ctx.memo;
-    basis_cuts = Memo.basis_cuts ctx.memo;
+    basis_adoptions = Incremental.adoptions ctx.eval;
+    basis_cuts = Incremental.basis_cuts ctx.eval;
     traj_launched = 0;
     traj_completed = 0;
     traj_aborted = 0;
@@ -307,20 +302,17 @@ let floor_all arch =
     0.0 arch.Arch.pes
 
 (* One counter sample per phase boundary: the evaluator counters as a
-   Chrome counter track, so the trace shows where the prunes/hits
-   accumulate. *)
+   Chrome counter track, so the trace shows where the prunes and
+   replays accumulate. *)
 let sample_eval_counters ctx =
   Trace.counter ctx.trace "eval_stats"
     [
-      ("pruned", Memo.prunes ctx.memo);
-      ("memo_hits", Memo.hits ctx.memo);
-      ("memo_misses", Memo.misses ctx.memo);
-      ("memo_bypassed", Memo.bypasses ctx.memo);
+      ("pruned", Incremental.prunes ctx.eval);
       ("rollbacks", Trace.Counter.get ctx.rollback_counter);
-      ("replays", Memo.replays ctx.memo);
-      ("rebuilds", Memo.rebuilds ctx.memo);
-      ("basis_adoptions", Memo.adoptions ctx.memo);
-      ("basis_cuts", Memo.basis_cuts ctx.memo);
+      ("replays", Incremental.replays ctx.eval);
+      ("rebuilds", Incremental.rebuilds ctx.eval);
+      ("basis_adoptions", Incremental.adoptions ctx.eval);
+      ("basis_cuts", Incremental.basis_cuts ctx.eval);
     ]
 
 let n_modes arch =
@@ -340,9 +332,10 @@ let n_modes arch =
    exact cost does not beat the incumbent fallback score either, the
    full schedule can change nothing — the candidate is dropped without
    timeline construction (counted against the window exactly like its
-   full evaluation would have been).  Stage 2 is the memoized scheduler
-   [Memo.run].  Both stages preserve the committed candidate bit for
-   bit; [opts.prune]/[opts.memo] switch them off for A/B runs.
+   full evaluation would have been).  Stage 2 is the run's evaluator
+   ([Incremental.evaluate]).  Both stages preserve the committed
+   candidate bit for bit; [opts.prune] switches stage 1 off for A/B
+   runs.
 
    Candidates are trialled directly on the base architecture under the
    undo journal (checkpoint, mutate, schedule, rollback), sparing a deep
@@ -402,25 +395,27 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
       match incumbent with
       | None -> None
       | Some best_score when opts.prune -> (
-          match Memo.estimate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial with
+          match
+            Incremental.estimate ctx.eval ~copy_cap:opts.copy_cap spec
+              clustering trial
+          with
           | Error _ ->
-              Memo.note_prune ctx.memo;
+              Incremental.note_prune ctx.eval;
               Some `Unschedulable
           | Ok lb ->
               if lb > 0 && best_score <= (lb, Arch.cost trial) then begin
-                Memo.note_prune ctx.memo;
+                Incremental.note_prune ctx.eval;
                 Some `Dominated
               end
               else None)
       | Some _ -> None
     in
-    (* Trials only need the verdict; [Memo.evaluate] routes through the
-       incremental engine (prefix replay of the last full run) and skips
-       materializing a schedule.  The winner is re-applied and scheduled
-       through [Memo.run] by the caller, so nothing downstream misses
-       the schedule object. *)
+    (* Trials only need the verdict; [Incremental.evaluate] replays the
+       prefix of the last full run and skips materializing a schedule.
+       The flow schedules the finished architecture once, in [repair]. *)
     let schedule_trial trial =
-      Memo.evaluate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial
+      Incremental.evaluate ctx.eval ~copy_cap:opts.copy_cap spec clustering
+        trial
     in
     (* The fallback holds the candidate *index* — re-applying it to the
        rolled-back base reproduces the winning architecture. *)
@@ -508,6 +503,10 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
 let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch ~skip =
   ignore lib;
   let ctx = make_ctx opts in
+  let copy_cap = opts.copy_cap in
+  let estimate a = Incremental.estimate ctx.eval ~copy_cap spec clustering a
+  and evaluate a = Incremental.evaluate ctx.eval ~copy_cap spec clustering a
+  and schedule a = Incremental.run ctx.eval ~copy_cap spec clustering a in
   let traj = opts.portfolio in
   (* Incumbent-bound check: abort iff (floor, index) strictly loses to
      the incumbent (cost, index) lexicographically — the final result's
@@ -599,8 +598,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
              basis that differs only by their own placement, maximizing
              the replayable prefix.  One record-only run per cluster
              against dozens of trials served by replay. *)
-          if opts.incremental then
-            Memo.refresh ctx.memo ~copy_cap:opts.copy_cap spec clustering arch;
+          Incremental.refresh ctx.eval ~copy_cap spec clustering arch;
           allocated.(cluster.cid) <- true;
           ctx.check_budget ();
           (* During allocation, repair (<= 20 vacating rip-ups) and the
@@ -612,7 +610,9 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
   (* Repair: when the constructive pass ends tardy (a fallback commit
      cascaded), rip up the cluster carrying the worst tardiness and
      re-allocate it against the now-complete architecture; the evaluation
-     loop will find it a feasible (possibly fresh) site. *)
+     loop will find it a feasible (possibly fresh) site.  Returns the
+     repaired architecture's schedule, which the merge phase and
+     interface synthesis start from. *)
   let repair () =
     let blacklist = Hashtbl.create 8 in
     (* Tardy clusters, worst first, not yet tried. *)
@@ -655,37 +655,41 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
       let verdict =
         if not opts.prune then None
         else begin
-          match Memo.estimate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial with
+          match estimate trial with
           | Error _ -> Some false
           | Ok lb -> if lb >= sched.Schedule.total_tardiness then Some false else None
         end
       in
       match verdict with
       | Some v ->
-          Memo.note_prune ctx.memo;
+          Incremental.note_prune ctx.eval;
           v
       | None -> (
-          match
-            Memo.evaluate ctx.memo ~copy_cap:opts.copy_cap spec clustering trial
-          with
+          match evaluate trial with
           | Ok after -> after.Schedule.v_tardiness < sched.Schedule.total_tardiness
           | Error _ -> false)
     in
-    let rec attempt k =
-      if k > 0 then begin
+    (* [current] is [arch]'s schedule when the previous attempt rolled
+       back (the journal restored the architecture bit for bit), [None]
+       at the start and after a commit changed it. *)
+    let schedule_of = function Some sched -> Ok sched | None -> schedule arch in
+    let rec attempt k current =
+      if k = 0 then schedule_of current
+      else begin
         ctx.check_budget ();
         (* Each attempt is a full rip-up/re-allocate cycle; at most [k]
            remain, so the headroom discount shrinks as repair proceeds. *)
         check_bound (fun () -> pre_merge_floor ~rip_budget:k ());
-        match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering arch with
-        | Error _ -> ()
-        | Ok sched ->
-            if not sched.Schedule.deadlines_met then begin
-              match tardy_clusters sched with
-              | [] -> ()
-              | cid :: _ ->
-                  Hashtbl.replace blacklist cid ();
-                  let cluster = clustering.Clustering.clusters.(cid) in
+        match schedule_of current with
+        | Error _ as e -> e
+        | Ok sched when sched.Schedule.deadlines_met -> Ok sched
+        | Ok sched -> (
+            match tardy_clusters sched with
+            | [] -> Ok sched
+            | cid :: _ ->
+                Hashtbl.replace blacklist cid ();
+                let cluster = clustering.Clustering.clusters.(cid) in
+                let committed =
                   Trace.span ctx.trace
                     ~args:[ ("cluster", Trace.Num cid) ]
                     "repair.attempt"
@@ -695,26 +699,24 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
                       let ck = Arch.checkpoint arch in
                       Arch.unplace_cluster arch clustering cluster;
                       match allocate_cluster ~opts ~ctx spec clustering arch cluster with
-                      | Ok () ->
-                          if improves sched arch then Arch.commit arch ck
-                          else begin
-                            Trace.Counter.incr ctx.rollback_counter;
-                            Arch.rollback arch ck
-                          end
-                      | Error _ ->
+                      | Ok () when improves sched arch ->
+                          Arch.commit arch ck;
+                          true
+                      | Ok () | Error _ ->
                           Trace.Counter.incr ctx.rollback_counter;
-                          Arch.rollback arch ck);
-                  attempt (k - 1)
-            end
+                          Arch.rollback arch ck;
+                          false)
+                in
+                attempt (k - 1) (if committed then None else Some sched))
       end
     in
-    attempt 20
+    attempt 20 None
   in
   match Trace.span ctx.trace "allocation" (fun () -> allocate_all !remaining) with
   | Error msg -> Error msg
   | Ok () -> (
       sample_eval_counters ctx;
-      Trace.span ctx.trace "repair" repair;
+      let repaired = Trace.span ctx.trace "repair" repair in
       sample_eval_counters ctx;
       ctx.check_budget ();
       (* Post-repair, a positive tardiness lower bound is terminal: the
@@ -725,10 +727,7 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
       | Some { t_bound = Some b; _ } -> (
           match Atomic.get b.b_best with
           | Some (bc, bi) -> (
-              match
-                Memo.estimate ctx.memo ~copy_cap:opts.copy_cap spec clustering
-                  arch
-              with
+              match estimate arch with
               | Ok lb when lb > 0 ->
                   raise
                     (Trajectory_abort
@@ -754,27 +753,24 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
         check_bound (fun () -> floor_nonprog a +. floor_min_ppe a)
       in
       let merged =
-        if opts.dynamic_reconfiguration then begin
-          let replays0 = Memo.replays ctx.memo
-          and rebuilds0 = Memo.rebuilds ctx.memo in
-          let outcome =
-            Trace.span ctx.trace "merge" (fun () ->
-                Merge.optimize ~copy_cap:opts.copy_cap
-                  ~max_trials_per_pass:opts.merge_trials_per_pass
-                  ~prune:opts.prune ~fit_scale ~on_pass ?trace:ctx.trace
-                  ~memo:ctx.memo spec clustering arch)
-          in
-          ctx.merge_replays <- Memo.replays ctx.memo - replays0;
-          ctx.merge_rebuilds <- Memo.rebuilds ctx.memo - rebuilds0;
-          match outcome with
-          | Ok (better, sched, stats) -> Ok (better, sched, Some stats)
-          | Error msg -> Error msg
-        end
-        else begin
-          match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering arch with
-          | Ok sched -> Ok (arch, sched, None)
-          | Error msg -> Error msg
-        end
+        Result.map
+          (fun schedule ->
+            if opts.dynamic_reconfiguration then begin
+              let replays0 = Incremental.replays ctx.eval
+              and rebuilds0 = Incremental.rebuilds ctx.eval in
+              let better, sched, stats =
+                Trace.span ctx.trace "merge" (fun () ->
+                    Merge.optimize ~copy_cap
+                      ~max_trials_per_pass:opts.merge_trials_per_pass
+                      ~prune:opts.prune ~fit_scale ~on_pass ?trace:ctx.trace
+                      ~eval:ctx.eval ~schedule spec clustering arch)
+              in
+              ctx.merge_replays <- Incremental.replays ctx.eval - replays0;
+              ctx.merge_rebuilds <- Incremental.rebuilds ctx.eval - rebuilds0;
+              (better, sched, Some stats)
+            end
+            else (arch, schedule, None))
+          repaired
       in
       match merged with
       | Error msg -> Error msg
@@ -784,13 +780,17 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
           check_bound (fun () -> floor_all final_arch);
           (* Reconfiguration controller interface synthesis (Section 4.4):
              cheapest interface meeting the boot-time requirement without
-             breaking deadlines. *)
+             breaking deadlines.  Each option is judged by its verdict;
+             only the accepted one is scheduled in full. *)
           let sched = ref sched in
           let validate a =
-            match Memo.run ctx.memo ~copy_cap:opts.copy_cap spec clustering a with
-            | Ok s when s.Schedule.deadlines_met || not !sched.Schedule.deadlines_met ->
-                sched := s;
-                true
+            match evaluate a with
+            | Ok v when v.Schedule.v_met || not !sched.Schedule.deadlines_met -> (
+                match schedule a with
+                | Ok s ->
+                    sched := s;
+                    true
+                | Error _ -> false)
             | Ok _ | Error _ -> false
           in
           let chosen_interface =

@@ -52,17 +52,15 @@ type options = {
           proves the candidate infeasible and no better than the
           incumbent.  Synthesis results are bit-identical with pruning
           on or off. *)
-  memo : bool;
-      (** stage-2 candidate evaluation (default true): serve repeated
-          schedules of structurally identical architectures from the
-          run's bounded {!Crusade_sched.Memo} table. *)
   incremental : bool;
       (** incremental rescheduling (default true): evaluate trial
           candidates by replaying the provably unchanged prefix of the
           last full scheduler run ({!Crusade_sched.Incremental}) instead
-          of rebuilding every timeline from scratch.  Synthesis results
-          are bit-identical with it on or off; [--no-incremental] in the
-          CLI and benchmark drivers maps here. *)
+          of rebuilding every timeline from scratch.  [false] selects the
+          reference evaluator, one plain scheduler run per evaluation —
+          the oracle tests and fuzzing compare against.  Synthesis
+          results are bit-identical either way; [--no-incremental] in
+          the CLI and benchmark drivers maps here. *)
   trace : Crusade_util.Trace.t option;
       (** when set, every synthesis phase (pre-processing, clustering,
           allocation per cluster and per candidate, repair, merge
@@ -98,12 +96,13 @@ val default_options : options
 type eval_stats = {
   pruned : int;
       (** candidates rejected by the stage-1 bound without a schedule *)
-  memo_hits : int;  (** schedules served from the memo table *)
-  memo_misses : int;  (** schedules actually computed *)
-  memo_bypassed : int;
-      (** verdict-only evaluations that skipped the memo table because
-          the incremental engine answered instead; explains the frozen
-          [memo_hits] whenever [options.incremental] is on *)
+  memo_hits : int;
+      (** retired, always 0: the schedule memo table is gone — each
+          phase hands its schedule to the next instead of looking it
+          up.  Kept (with [memo_misses] and [memo_bypassed]) only so
+          existing readers of the record still build. *)
+  memo_misses : int;  (** retired, always 0 (see [memo_hits]) *)
+  memo_bypassed : int;  (** retired, always 0 (see [memo_hits]) *)
   rollbacks : int;  (** journaled trial mutations undone in place *)
   replays : int;
       (** candidate evaluations served by incremental prefix replay *)
@@ -135,7 +134,7 @@ type eval_stats = {
       (** times a completed feasible result improved the shared bound *)
 }
 (** Two-stage-evaluator counters of one synthesis flow.  Each flow owns
-    its counters (and its memo table), so back-to-back or concurrent
+    its counters (and its evaluator), so back-to-back or concurrent
     syntheses in one process report fully independent, exact statistics.
     The [traj_*]/[bound_aborts]/[incumbent_updates] fields are zero for
     plain flows; {!Portfolio.annotate} folds a portfolio run's counters

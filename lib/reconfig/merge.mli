@@ -27,24 +27,26 @@ val optimize :
   ?fit_scale:float * float ->
   ?on_pass:(Crusade_alloc.Arch.t -> unit) ->
   ?trace:Crusade_util.Trace.t ->
-  memo:Crusade_sched.Memo.t ->
+  eval:Crusade_sched.Incremental.t ->
+  schedule:Crusade_sched.Schedule.t ->
   Crusade_taskgraph.Spec.t ->
   Crusade_cluster.Clustering.t ->
   Crusade_alloc.Arch.t ->
-  (Crusade_alloc.Arch.t * Crusade_sched.Schedule.t * stats, string) result
-(** Returns the improved architecture with its final schedule.  The input
+  Crusade_alloc.Arch.t * Crusade_sched.Schedule.t * stats
+(** Returns the improved architecture with its final schedule.
+    [schedule] must be the input architecture's own schedule (the caller
+    has it already; it is never recomputed here).  The input
     architecture is never mutated: every trial mutates one private copy
     under the {!Crusade_alloc.Arch.checkpoint} journal and rolls back
-    unless accepted, so with the incremental engine attached each trial
-    is a prefix replay against a warm per-pass basis.
+    unless accepted, so each trial is a prefix replay against a warm
+    per-pass basis of [eval], the calling run's evaluator; only accepted
+    trials are scheduled in full.
 
     [prune] (default true) rejects trials whose exact cost or tardiness
-    bound already rules out acceptance, without scheduling them.  [memo]
-    is the calling run's {!Crusade_sched.Memo} table — repeated
-    schedules are served from it (create it with [~enabled:false] to
-    switch stage 2 off).  Both leave the accepted architectures and the
-    [stats] counters bit-identical.  [trace] adds ["merge.trial"] /
-    ["merge.combine"] spans and a ["merge.pass"] instant per pass.
+    bound already rules out acceptance, without scheduling them; the
+    accepted architectures and the [stats] counters are bit-identical
+    either way.  [trace] adds ["merge.trial"] / ["merge.combine"] spans
+    and a ["merge.pass"] instant per pass.
 
     [fit_scale] (default [(1.0, 1.0)]) scales the usable PFU/pin caps
     used by the fit checks; portfolio trajectories perturb it

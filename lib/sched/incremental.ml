@@ -37,12 +37,14 @@ module Store = struct
 end
 
 type t = {
+  reference : bool;  (* plain [Schedule.run] per call, nothing recorded *)
   slots : Store.t;
   trace : Trace.t option;
   replay_counter : Trace.Counter.t;
   rebuild_counter : Trace.Counter.t;
   adoption_counter : Trace.Counter.t;
   basis_cut_counter : Trace.Counter.t;
+  prune_counter : Trace.Counter.t;
 }
 
 (* How many distinct (spec, clustering, copy_cap) bases to keep.  A
@@ -52,19 +54,26 @@ type t = {
    O(1)-ish. *)
 let slot_capacity = 8
 
-let create ?store ?trace ?metrics () =
+let create ?(reference = false) ?store ?trace ?metrics () =
   let counter name =
     match metrics with
     | Some m -> Trace.Metrics.counter m name
     | None -> Trace.Counter.make ()
   in
   {
-    slots = (match store with Some s -> s | None -> Store.create ());
+    reference;
+    (* A reference evaluator publishes nothing, so it keeps a private,
+       always empty store and every evaluation falls through to [run]. *)
+    slots =
+      (match store with
+      | Some s when not reference -> s
+      | Some _ | None -> Store.create ());
     trace;
     replay_counter = counter "eval.replays";
     rebuild_counter = counter "eval.rebuilds";
     adoption_counter = counter "eval.basis_adoptions";
     basis_cut_counter = counter "eval.basis_cuts";
+    prune_counter = counter "eval.pruned";
   }
 
 let rec take n = function
@@ -117,31 +126,40 @@ let replays t = Trace.Counter.get t.replay_counter
 let rebuilds t = Trace.Counter.get t.rebuild_counter
 let adoptions t = Trace.Counter.get t.adoption_counter
 let basis_cuts t = Trace.Counter.get t.basis_cut_counter
+let prunes t = Trace.Counter.get t.prune_counter
+let note_prune t = Trace.Counter.incr t.prune_counter
 
-let record t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
+let run t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
     (clustering : Clustering.t) (arch : Arch.t) =
-  Trace.Counter.incr t.rebuild_counter;
-  match
+  if t.reference then
     Trace.span t.trace "schedule.run" (fun () ->
-        Schedule.Replay.record ~copy_cap spec clustering arch)
-  with
-  | Error _ as e -> e  (* keep the previous recordings *)
-  | Ok (sched, recording) ->
-      publish t ~copy_cap spec clustering recording;
-      Ok sched
+        Schedule.run ~copy_cap spec clustering arch)
+  else begin
+    Trace.Counter.incr t.rebuild_counter;
+    match
+      Trace.span t.trace "schedule.run" (fun () ->
+          Schedule.Replay.record ~copy_cap spec clustering arch)
+    with
+    | Error _ as e -> e  (* keep the previous recordings *)
+    | Ok (sched, recording) ->
+        publish t ~copy_cap spec clustering recording;
+        Ok sched
+  end
 
 (* Refresh the replay basis without materializing a schedule: the
    synthesis loops call this at commit points, where the schedule
    itself would be discarded anyway. *)
 let refresh t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
     (clustering : Clustering.t) (arch : Arch.t) =
-  Trace.Counter.incr t.rebuild_counter;
-  match
-    Trace.span t.trace "schedule.run" (fun () ->
-        Schedule.Replay.record_only ~copy_cap spec clustering arch)
-  with
-  | Error _ -> ()  (* keep the previous recordings *)
-  | Ok recording -> publish t ~copy_cap spec clustering recording
+  if not t.reference then begin
+    Trace.Counter.incr t.rebuild_counter;
+    match
+      Trace.span t.trace "schedule.run" (fun () ->
+          Schedule.Replay.record_only ~copy_cap spec clustering arch)
+    with
+    | Error _ -> ()  (* keep the previous recordings *)
+    | Ok recording -> publish t ~copy_cap spec clustering recording
+  end
 
 (* A recording never stops being a valid diff basis (it is immutable and
    the diff is computed against the candidate), so evaluation always
@@ -149,8 +167,8 @@ let refresh t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
    exists: even a zero-length prefix is a win, because the verdict-only
    run skips materialization, activity tracking and recording overhead.
    Freshness of the basis only affects the prefix length; the synthesis
-   loops refresh it with a full [record] run at each commit point (every
-   materializing [Memo.run] goes through [record]). *)
+   loops refresh it at each commit point ([refresh]), and every schedule
+   they keep comes from [run], which records too. *)
 let evaluate t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
     (clustering : Clustering.t) (arch : Arch.t) =
   match lookup t ~copy_cap spec clustering with
@@ -158,7 +176,7 @@ let evaluate t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
       let prep = Schedule.Replay.prepare r spec clustering arch in
       Trace.Counter.incr t.replay_counter;
       Trace.instant t.trace "eval.replay";
-      `Replayed (Schedule.Replay.replay_verdict prep)
+      Schedule.Replay.replay_verdict prep
   | Some (`Adopted r) ->
       let prep = Schedule.Replay.prepare r spec clustering arch in
       Trace.Counter.incr t.replay_counter;
@@ -169,5 +187,17 @@ let evaluate t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
       Trace.Counter.add t.basis_cut_counter
         (Schedule.Replay.steps r - Schedule.Replay.cut prep);
       Trace.instant t.trace "eval.adopt";
-      `Replayed (Schedule.Replay.replay_verdict prep)
-  | None -> `Ran (record t ~copy_cap spec clustering arch)
+      Schedule.Replay.replay_verdict prep
+  | None ->
+      Result.map
+        (fun (s : Schedule.t) ->
+          {
+            Schedule.v_tardiness = s.Schedule.total_tardiness;
+            v_met = s.Schedule.deadlines_met;
+            v_scheduled = s.Schedule.scheduled_tasks;
+          })
+        (run t ~copy_cap spec clustering arch)
+
+let estimate t ?(copy_cap = Schedule.default_copy_cap) spec clustering arch =
+  Trace.span t.trace "schedule.estimate" (fun () ->
+      Schedule.estimate ~copy_cap spec clustering arch)

@@ -17,12 +17,20 @@ let create () =
 
 let recommended_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
+(* More runners than the machine has domains never helps a CPU-bound
+   work-steal: the extra runners just time-share cores and pay
+   cross-domain GC synchronization for it.  The caller participates as
+   a runner, so the cap is the full recommended count (not one less).
+   Results are index-addressed, so the runner count never changes
+   them. *)
+let effective_jobs j = max 1 (min j (Domain.recommended_domain_count ()))
+
 let default_jobs () =
   match Sys.getenv_opt "CRUSADE_JOBS" with
   | None -> 1
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> min j (recommended_jobs ())
+      | Some j when j >= 1 -> effective_jobs j
       | Some _ | None -> 1)
 
 (* Hard ceiling on spawned domains, whatever [jobs] is asked for:
@@ -68,14 +76,6 @@ let ensure_workers t n =
   Mutex.unlock t.mutex
 
 let size _t = max 1 (min max_workers (recommended_jobs ()))
-
-(* More runners than the machine has domains never helps a CPU-bound
-   work-steal: the extra runners just time-share cores and pay
-   cross-domain GC synchronization for it.  The caller participates as
-   a runner, so the cap is the full recommended count (not one less).
-   Results are index-addressed, so the runner count never changes
-   them. *)
-let effective_jobs j = max 1 (min j (Domain.recommended_domain_count ()))
 
 let warm t n = ensure_workers t n
 

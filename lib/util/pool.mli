@@ -29,7 +29,8 @@ val recommended_jobs : unit -> int
 
 val default_jobs : unit -> int
 (** Value of the [CRUSADE_JOBS] environment variable clamped to
-    [1 .. recommended_jobs ()]; [1] when unset or unparsable. *)
+    [1 .. Domain.recommended_domain_count ()] — the same cap {!map_n}
+    applies to an explicit [jobs]; [1] when unset or unparsable. *)
 
 val size : t -> int
 (** Number of concurrent tasks this pool can usefully run: the worker

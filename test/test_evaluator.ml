@@ -1,7 +1,7 @@
 (* The two-stage candidate evaluator: stage-1 admissibility of
-   [Schedule.estimate], stage-2 memoization, the architecture undo
-   journal, and end-to-end determinism of synthesis with the evaluator
-   on versus off. *)
+   [Schedule.estimate], the architecture undo journal, per-run evaluator
+   counters, and end-to-end determinism of synthesis with pruning on
+   versus off. *)
 
 module C = Crusade.Crusade_core
 module Spec = Crusade_taskgraph.Spec
@@ -11,7 +11,7 @@ module Arch = Crusade_alloc.Arch
 module Options = Crusade_alloc.Options
 module Export = Crusade_alloc.Export
 module Schedule = Crusade_sched.Schedule
-module Memo = Crusade_sched.Memo
+module Incremental = Crusade_sched.Incremental
 module Vec = Crusade_util.Vec
 module W = Crusade_workloads.Comm_system
 module Examples = Crusade_workloads.Examples
@@ -242,25 +242,19 @@ let result_signature (r : C.result) =
     arch_signature r.C.clustering r.C.arch,
     sched )
 
-let synthesize_with ~prune ~memo spec lib =
-  let options = { C.default_options with prune; memo } in
+let synthesize_with ~prune spec lib =
+  let options = { C.default_options with prune } in
   match C.synthesize ~options spec lib with
   | Ok r -> r
   | Error msg -> Alcotest.failf "synthesis failed: %s" msg
 
 let determinism_on_spec name spec lib =
-  let baseline = synthesize_with ~prune:false ~memo:false spec lib in
-  let full = synthesize_with ~prune:true ~memo:true spec lib in
-  let prune_only = synthesize_with ~prune:true ~memo:false spec lib in
-  let sig_base = result_signature baseline in
+  let baseline = synthesize_with ~prune:false spec lib in
+  let full = synthesize_with ~prune:true spec lib in
   check Alcotest.bool
-    (name ^ ": evaluator on = evaluator off")
+    (name ^ ": prune on = prune off")
     true
-    (result_signature full = sig_base);
-  check Alcotest.bool
-    (name ^ ": prune-only = evaluator off")
-    true
-    (result_signature prune_only = sig_base)
+    (result_signature full = result_signature baseline)
 
 let determinism_figure2 () =
   determinism_on_spec "figure2" (Examples.figure2 Helpers.small_lib) Helpers.small_lib
@@ -277,55 +271,94 @@ let determinism_generated () =
         spec Helpers.stock_lib)
     [ 11; 42 ]
 
-(* Stage 2 actually fires: a synthesis with the evaluator on reports
-   memo traffic, and repeated identical schedules come back hits. *)
-let memo_hits_observed () =
-  let spec = Examples.figure2 Helpers.small_lib in
-  let r = synthesize_with ~prune:true ~memo:true spec Helpers.small_lib in
-  check Alcotest.bool "memo was consulted" true
-    (r.C.eval_stats.C.memo_hits + r.C.eval_stats.C.memo_misses > 0);
-  let memo = Memo.create () in
-  (match
-     ( Memo.run memo spec r.C.clustering r.C.arch,
-       Memo.run memo spec r.C.clustering r.C.arch )
-   with
-  | Ok a, Ok b ->
-      check Alcotest.int "identical schedule served" a.Schedule.total_tardiness
-        b.Schedule.total_tardiness
-  | _ -> Alcotest.fail "final architecture must schedule");
-  check Alcotest.int "first consult missed" 1 (Memo.misses memo);
-  check Alcotest.int "repeat consult hit" 1 (Memo.hits memo);
-  (* [clear] empties the table but keeps the counters. *)
-  Memo.clear memo;
-  (match Memo.run memo spec r.C.clustering r.C.arch with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  check Alcotest.int "cleared table misses again" 2 (Memo.misses memo);
-  check Alcotest.int "counters survive clear" 1 (Memo.hits memo)
-
-(* The per-run scoping contract: every synthesis owns its memo table and
+(* The per-run scoping contract: every synthesis owns its evaluator and
    counters, so identical back-to-back runs report identical, exact
-   statistics — with the old process-global table the second run's
-   numbers were polluted by leftover entries from the first. *)
+   statistics — with process-global state the second run's numbers
+   would be polluted by leftovers from the first. *)
 let eval_stats_per_run () =
-  let spec = Examples.figure4 Helpers.small_lib in
+  let spec = W.generate Helpers.stock_lib (W.scaled (W.preset "A1TR") 16.0) in
   let stats_of () =
-    let r = synthesize_with ~prune:true ~memo:true spec Helpers.small_lib in
+    let r = synthesize_with ~prune:true spec Helpers.stock_lib in
     (result_signature r, r.C.eval_stats)
   in
   let sig1, s1 = stats_of () in
   let sig2, s2 = stats_of () in
   check Alcotest.bool "identical runs synthesize identically" true (sig1 = sig2);
   check Alcotest.bool "identical runs report identical eval stats" true (s1 = s2);
-  check Alcotest.bool "counters did not accumulate across runs" true
-    (s2.C.memo_misses > 0 && s2.C.memo_misses = s1.C.memo_misses);
-  (* A fresh table can never serve a hit built by another run. *)
-  let r = synthesize_with ~prune:true ~memo:true spec Helpers.small_lib in
-  let fresh = Memo.create () in
-  (match Memo.run fresh spec r.C.clustering r.C.arch with
+  List.iter
+    (fun (name, count) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s did not accumulate across runs" name)
+        true
+        (count s2 > 0 && count s2 = count s1))
+    [
+      ("replays", fun (s : C.eval_stats) -> s.C.replays);
+      ("rebuilds", fun s -> s.C.rebuilds);
+      ("rollbacks", fun s -> s.C.rollbacks);
+    ];
+  (* A fresh evaluator holds no recording from another run: its first
+     evaluation is a rebuild, not a replay. *)
+  let r = synthesize_with ~prune:true spec Helpers.stock_lib in
+  let fresh = Incremental.create () in
+  (match Incremental.evaluate fresh spec r.C.clustering r.C.arch with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
-  check Alcotest.int "no cross-run hit on a fresh table" 0 (Memo.hits fresh)
+  check Alcotest.int "no cross-run replay on a fresh evaluator" 0
+    (Incremental.replays fresh);
+  check Alcotest.int "fresh evaluator rebuilds" 1 (Incremental.rebuilds fresh)
+
+(* Every result carries its own architecture's schedule.  Phases hand
+   their schedules along instead of recomputing them, and every
+   evaluator configuration shares those hand-offs, so comparing
+   configurations cannot catch one that kept a stale schedule; a fresh
+   run of the result's own architecture can.  Inputs: the table2 presets
+   at 1/16 in both flavours (the two largest left out for time) and warm
+   repairs of each reconfigured result. *)
+let schedules_are_fresh () =
+  let module R = C.Resynth in
+  let lib = Helpers.stock_lib in
+  let fresh what (r : C.result) =
+    match Schedule.run r.C.spec r.C.clustering r.C.arch with
+    | Error msg -> Alcotest.failf "%s: fresh run failed: %s" what msg
+    | Ok s ->
+        check Alcotest.bool (what ^ ": verdict") s.Schedule.deadlines_met
+          r.C.schedule.Schedule.deadlines_met;
+        check Alcotest.int (what ^ ": tardiness") s.Schedule.total_tardiness
+          r.C.schedule.Schedule.total_tardiness;
+        check Alcotest.bool (what ^ ": same instances") true
+          (s.Schedule.instances = r.C.schedule.Schedule.instances)
+  in
+  List.iter
+    (fun name ->
+      let spec = W.generate lib (W.scaled (W.preset name) 16.0) in
+      List.iter
+        (fun reconfig ->
+          let options =
+            { C.default_options with C.dynamic_reconfiguration = reconfig }
+          in
+          let r =
+            match C.synthesize ~options spec lib with
+            | Ok r -> r
+            | Error msg -> Alcotest.failf "%s: %s" name msg
+          in
+          fresh (Printf.sprintf "%s reconfig=%b" name reconfig) r;
+          if reconfig then
+            List.iter
+              (fun change ->
+                let what =
+                  Printf.sprintf "%s %s" name (R.describe_change change)
+                in
+                match R.apply ~options r change with
+                | Error msg -> Alcotest.failf "%s: %s" what msg
+                | Ok rep -> Option.iter (fresh what) (R.final_result rep))
+              [
+                R.Pe_failure 0;
+                R.Graph_departure [ Spec.n_graphs spec - 1 ];
+                R.Exec_drift 5;
+                R.Exec_drift (-5);
+              ])
+        [ false; true ])
+    (List.filter (fun n -> n <> "B192G" && n <> "NGXM") W.preset_names)
 
 (* Tracing covers every phase of the flow and never perturbs the
    synthesis result. *)
@@ -337,7 +370,7 @@ let trace_covers_phases () =
   match C.synthesize ~options spec Helpers.small_lib with
   | Error msg -> Alcotest.failf "traced synthesis failed: %s" msg
   | Ok r ->
-      let plain = synthesize_with ~prune:true ~memo:true spec Helpers.small_lib in
+      let plain = synthesize_with ~prune:true spec Helpers.small_lib in
       check Alcotest.bool "tracing does not perturb synthesis" true
         (result_signature r = result_signature plain);
       let json = Trace.to_json trace in
@@ -376,7 +409,8 @@ let suite =
     Alcotest.test_case "determinism: figure2" `Quick determinism_figure2;
     Alcotest.test_case "determinism: figure4" `Quick determinism_figure4;
     Alcotest.test_case "determinism: generated workloads" `Slow determinism_generated;
-    Alcotest.test_case "memoization observable" `Quick memo_hits_observed;
     Alcotest.test_case "eval stats scoped per run" `Quick eval_stats_per_run;
+    Alcotest.test_case "results carry their own schedule" `Slow
+      schedules_are_fresh;
     Alcotest.test_case "trace covers every phase" `Quick trace_covers_phases;
   ]

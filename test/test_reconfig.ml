@@ -7,7 +7,7 @@ module Schedule = Crusade_sched.Schedule
 module Compat = Crusade_reconfig.Compat
 module Interface = Crusade_reconfig.Interface
 module Merge = Crusade_reconfig.Merge
-module Memo = Crusade_sched.Memo
+module Incremental = Crusade_sched.Incremental
 module Vec = Crusade_util.Vec
 
 let check = Alcotest.check
@@ -133,28 +133,33 @@ let interface_synthesize_prefers_cheap () =
 
 (* --- Merge --- *)
 
+(* The merge phase starts from the input architecture's schedule, which
+   its caller already has. *)
+let optimize spec clustering arch =
+  match Schedule.run spec clustering arch with
+  | Error m -> Alcotest.fail m
+  | Ok schedule ->
+      Merge.optimize ~eval:(Incremental.create ()) ~schedule spec clustering
+        arch
+
 let merge_two_compatible_devices () =
   let spec, clustering, arch = two_device_arch ~overlap:false () in
   check Alcotest.int "two devices before" 2 (Arch.n_pes arch);
-  match Merge.optimize ~memo:(Memo.create ()) spec clustering arch with
-  | Error m -> Alcotest.fail m
-  | Ok (merged, sched, stats) ->
-      check Alcotest.int "one device after" 1 (Arch.n_pes merged);
-      check Alcotest.bool "deadlines met" true sched.Schedule.deadlines_met;
-      check Alcotest.bool "a merge accepted" true (stats.Merge.merges_accepted >= 1);
-      check Alcotest.bool "cost decreased" true (Arch.cost merged < Arch.cost arch);
-      (* the surviving device carries two configuration images *)
-      let images =
-        Vec.fold (fun acc pe -> max acc (Arch.n_images pe)) 0 merged.Arch.pes
-      in
-      check Alcotest.int "two images" 2 images
+  let merged, sched, stats = optimize spec clustering arch in
+  check Alcotest.int "one device after" 1 (Arch.n_pes merged);
+  check Alcotest.bool "deadlines met" true sched.Schedule.deadlines_met;
+  check Alcotest.bool "a merge accepted" true (stats.Merge.merges_accepted >= 1);
+  check Alcotest.bool "cost decreased" true (Arch.cost merged < Arch.cost arch);
+  (* the surviving device carries two configuration images *)
+  let images =
+    Vec.fold (fun acc pe -> max acc (Arch.n_images pe)) 0 merged.Arch.pes
+  in
+  check Alcotest.int "two images" 2 images
 
 let merge_rejects_overlapping () =
   let spec, clustering, arch = two_device_arch ~overlap:true () in
-  match Merge.optimize ~memo:(Memo.create ()) spec clustering arch with
-  | Error m -> Alcotest.fail m
-  | Ok (merged, _, _) ->
-      check Alcotest.int "no merge possible" 2 (Arch.n_pes merged)
+  let merged, _, _ = optimize spec clustering arch in
+  check Alcotest.int "no merge possible" 2 (Arch.n_pes merged)
 
 let merge_potential_counts () =
   let _, _, arch = two_device_arch () in
@@ -163,9 +168,7 @@ let merge_potential_counts () =
 let merge_input_not_mutated () =
   let spec, clustering, arch = two_device_arch ~overlap:false () in
   let before = Arch.cost arch in
-  (match Merge.optimize ~memo:(Memo.create ()) spec clustering arch with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
+  ignore (optimize spec clustering arch);
   check (Alcotest.float 1e-9) "input arch unchanged" before (Arch.cost arch)
 
 let suite =

@@ -500,6 +500,30 @@ let pool_size_warm_submit () =
   check Alcotest.(array int) "map after submit" [| 0; 2; 4; 6; 8; 10 |] doubled;
   Pool.shutdown pool
 
+(* [CRUSADE_JOBS] is clamped with the cap [map_n] puts on an explicit
+   [jobs] — every domain the machine has — so a two-core machine can
+   overlap two portfolio trajectories.  Only reads the environment; no
+   domain is spawned. *)
+let pool_default_jobs () =
+  let saved = Sys.getenv_opt "CRUSADE_JOBS" in
+  let jobs_with v =
+    Unix.putenv "CRUSADE_JOBS" v;
+    Pool.default_jobs ()
+  in
+  let cores = Domain.recommended_domain_count () in
+  Fun.protect
+    ~finally:(fun () ->
+      (* An empty value reads as unset. *)
+      Unix.putenv "CRUSADE_JOBS" (Option.value saved ~default:""))
+    (fun () ->
+      check Alcotest.int "unset" 1 (jobs_with "");
+      check Alcotest.int "unparsable" 1 (jobs_with "many");
+      check Alcotest.int "zero" 1 (jobs_with "0");
+      check Alcotest.int "one" 1 (jobs_with "1");
+      check Alcotest.int "every domain" cores (jobs_with (string_of_int cores));
+      check Alcotest.int "clamped to the machine" cores
+        (jobs_with (string_of_int (cores + 8))))
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick rng_deterministic;
@@ -552,4 +576,5 @@ let suite =
     Alcotest.test_case "pool map ordering" `Quick pool_map_ordering;
     Alcotest.test_case "pool exception propagation" `Quick pool_exception_propagation;
     Alcotest.test_case "pool size/warm/submit" `Quick pool_size_warm_submit;
+    Alcotest.test_case "pool default jobs" `Quick pool_default_jobs;
   ]
