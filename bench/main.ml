@@ -244,12 +244,10 @@ let write_bench_json ~prune ~incremental path =
             Printf.sprintf
               ", \"portfolio_n\": %d, \"traj_launched\": %d, \
                \"traj_completed\": %d, \"traj_aborted\": %d, \
-               \"bound_aborts\": %d, \"budget_aborts\": %d, \
-               \"incumbent_updates\": %d, \"best_traj\": %d, \
+               \"budget_aborts\": %d, \"best_traj\": %d, \
                \"best_cost_delta\": %s"
               p.pi_n s.C.Portfolio.launched s.C.Portfolio.completed
-              s.C.Portfolio.aborted s.C.Portfolio.bound_aborts
-              s.C.Portfolio.budget_aborts s.C.Portfolio.incumbent_updates
+              s.C.Portfolio.aborted s.C.Portfolio.budget_aborts
               p.pi_best_traj
               (match p.pi_best_cost_delta with
               | Some d -> Printf.sprintf "%.3f" d
@@ -262,14 +260,12 @@ let write_bench_json ~prune ~incremental path =
             \"wall_seconds\": %.6f, \"cpu_seconds\": %.6f, \"cost\": %.3f, \
             \"deadlines_met\": %b, \"pruned\": %d, \"rollbacks\": %d, \
             \"replays\": %d, \"rebuilds\": %d, \"merge_replays\": %d, \
-            \"merge_rebuilds\": %d, \"basis_adoptions\": %d, \
-            \"basis_cuts\": %d%s%s}"
+            \"merge_rebuilds\": %d%s%s}"
            e.br_table e.br_example e.br_variant e.br_jobs e.br_scale e.br_wall
            e.br_cpu e.br_cost e.br_met e.br_stats.C.pruned
            e.br_stats.C.rollbacks
            e.br_stats.C.replays e.br_stats.C.rebuilds
-           e.br_stats.C.merge_replays e.br_stats.C.merge_rebuilds
-           e.br_stats.C.basis_adoptions e.br_stats.C.basis_cuts audit_fields
+           e.br_stats.C.merge_replays e.br_stats.C.merge_rebuilds audit_fields
            portfolio_fields))
     entries;
   Buffer.add_string b "\n  ]";

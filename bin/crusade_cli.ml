@@ -145,11 +145,9 @@ let pp_portfolio_summary (stats : C.Portfolio.stats) ~best_index ~best_cost
     ~baseline_cost =
   Format.printf
     "portfolio    : best of %d trajectories is #%d (%d completed, %d failed, \
-     %d aborted: %d bound / %d budget; %d incumbent updates)@."
+     %d stopped by the budget)@."
     stats.C.Portfolio.launched best_index stats.C.Portfolio.completed
-    stats.C.Portfolio.failed stats.C.Portfolio.aborted
-    stats.C.Portfolio.bound_aborts stats.C.Portfolio.budget_aborts
-    stats.C.Portfolio.incumbent_updates;
+    stats.C.Portfolio.failed stats.C.Portfolio.budget_aborts;
   match baseline_cost with
   | Some b ->
       Format.printf "vs trajectory 0: $%s -> $%s (saved $%s)@."

@@ -18,10 +18,8 @@
        independent schedule validation;
    (b') on the reconfiguration flavor, a portfolio axis: --portfolio 1
        reproduces the plain flow bit for bit, and at --portfolio 4 the
-       winner passes the audit, is never worse than the unperturbed
-       trajectory 0, and is identical with the shared incumbent bound
-       on or off (so bound aborts provably never kill a would-be
-       winner); the portfolio runs at --jobs N, spreading its
+       winner passes the audit and is never worse than the unperturbed
+       trajectory 0; the portfolio runs at --jobs N, spreading its
        trajectories over N domains;
    (b'') on the reconfiguration flavor, a serve axis: the spec pushed
        through the in-process job server (DSL text in, JSON result out)
@@ -259,10 +257,8 @@ let violation_strings vs =
 
 (* Portfolio axis (reconfig flavor only, to bound the per-seed cost):
    --portfolio 1 must be the plain flow bit for bit; at --portfolio 4
-   the winner must pass the end-to-end audit, must never be worse than
-   trajectory 0 (the unperturbed baseline), and must be the same with
-   the incumbent bound on or off — the differential oracle that a bound
-   abort never killed a trajectory that would have won. *)
+   the winner must pass the end-to-end audit and must never be worse
+   than trajectory 0 (the unperturbed baseline). *)
 let portfolio_checks ~out ~jobs_max ~seed ~params ~spec ~ref_sig reconfig =
   let config jobs = { reconfig; prune = true; inc = true; jobs } in
   let flow o = Core.synthesize ~options:o spec lib in
@@ -284,53 +280,38 @@ let portfolio_checks ~out ~jobs_max ~seed ~params ~spec ~ref_sig reconfig =
             Printf.sprintf "portfolio 1:   %s" s;
           ]);
   let pf_config = config jobs_max in
-  let run_4 use_bound =
+  let pf =
     match
-      Core.Portfolio.run ~n:4 ~use_bound ~options:(options_of pf_config) ~flow
-        ~cost ~met ()
+      Core.Portfolio.run ~n:4 ~options:(options_of pf_config) ~flow ~cost ~met
+        ()
     with
     | Error msg ->
         fail ~out ~kind:"portfolio-error" ~seed ~params ~config:pf_config [ msg ]
     | Ok o -> o
   in
-  let on = run_4 true in
-  let off = run_4 false in
-  let key (o : Core.result Core.Portfolio.outcome) =
-    ( o.Core.Portfolio.best_index,
-      signature_of o.Core.Portfolio.best )
-  in
-  if key on <> key off then
-    fail ~out ~kind:"portfolio-bound-mismatch" ~seed ~params ~config:pf_config
-      [
-        Printf.sprintf "bound on:  trajectory %d, %s" on.Core.Portfolio.best_index
-          (signature_of on.Core.Portfolio.best);
-        Printf.sprintf "bound off: trajectory %d, %s"
-          off.Core.Portfolio.best_index
-          (signature_of off.Core.Portfolio.best);
-      ];
-  (match on.Core.Portfolio.trajectories.(0) with
+  (match pf.Core.Portfolio.trajectories.(0) with
   | Core.Portfolio.Completed { t_cost; t_met } ->
       (* The winner may only beat trajectory 0 (feasibility first, then
          cost); it can exceed its cost only by fixing a deadline miss. *)
-      let best_met = on.Core.Portfolio.best_met in
+      let best_met = pf.Core.Portfolio.best_met in
       if (t_met && not best_met)
-         || (t_met = best_met && on.Core.Portfolio.best_cost > t_cost)
+         || (t_met = best_met && pf.Core.Portfolio.best_cost > t_cost)
       then
         fail ~out ~kind:"portfolio-worse-than-baseline" ~seed ~params
           ~config:pf_config
           [
             Printf.sprintf "trajectory 0: cost=%h met=%b" t_cost t_met;
             Printf.sprintf "winner (%d):  cost=%h met=%b"
-              on.Core.Portfolio.best_index on.Core.Portfolio.best_cost best_met;
+              pf.Core.Portfolio.best_index pf.Core.Portfolio.best_cost best_met;
           ]
   | Core.Portfolio.Failed msg ->
       fail ~out ~kind:"portfolio-baseline-failed" ~seed ~params ~config:pf_config
         [ msg ]
-  | Core.Portfolio.Aborted _ ->
+  | Core.Portfolio.Aborted ->
       fail ~out ~kind:"portfolio-baseline-aborted" ~seed ~params
         ~config:pf_config
-        [ "trajectory 0 is exempt from bound and budget; it cannot abort" ]);
-  match Core.audit on.Core.Portfolio.best with
+        [ "trajectory 0 is exempt from the budget; it cannot abort" ]);
+  match Core.audit pf.Core.Portfolio.best with
   | [] -> ()
   | vs ->
       fail ~out ~kind:"portfolio-audit-violation" ~seed ~params ~config:pf_config
@@ -741,7 +722,7 @@ let replay_corruption (r : Core.result) =
    against the restored architecture — unless the basis itself is
    corrupted, which must surface as a diverging schedule.  Unlike
    [replay_corruption] (final step), this corrupts a step in the middle
-   of the prefix, the region a warm merge basis actually adopts. *)
+   of the prefix, the region a warm merge basis actually replays. *)
 let merge_basis_corruption (r : Core.result) =
   let name = "merge-basis-corruption" in
   let spec = r.Core.spec
@@ -891,8 +872,7 @@ let () =
     let n = a.seed_hi - a.seed_lo + 1 in
     Printf.printf
       "fuzzing seeds %d..%d (%d seeds x %d configurations + portfolio \
-       {1,4}x{bound on,off} + resynth differential + serve round-trip, \
-       jobs_max=%d)\n%!"
+       {1,4} + resynth differential + serve round-trip, jobs_max=%d)\n%!"
       a.seed_lo a.seed_hi n
       (List.length (List.concat_map configs_of flavors))
       a.jobs_max;

@@ -16,43 +16,20 @@ module Trace = Crusade_util.Trace
 (* ---------------- Portfolio trajectory control ----------------
 
    A portfolio run launches N perturbed copies of the synthesis flow.
-   Each copy carries a [traj] control block in its options: its index,
-   the seed of its perturbation stream, the shared incumbent bound, and
-   its wall-clock deadline.  The flow raises [Trajectory_abort] from its
-   commit points when the incumbent bound proves the trajectory can
-   never produce the winning result, or when the budget expired. *)
+   Each perturbed copy carries a [traj] control block in its options:
+   the seed of its perturbation stream, its merge fit scales and its
+   wall-clock deadline.  The
+   flow raises [Budget_expired] from its commit points once the deadline
+   has passed.  Trajectories share nothing but the domain pool. *)
 
-type bound_state = {
-  b_best : (float * int) option Atomic.t;
-      (* best completed feasible (cost, trajectory index), lexicographic
-         minimum; only completed results are published, so an abort
-         decision never depends on a speculative value *)
-  b_updates : int Atomic.t;
-}
-
-type abort_reason =
-  | Bound_abort of {
-      floor : float;
-      incumbent_cost : float;
-      incumbent_index : int;
-    }
-  | Budget_abort
-
-exception Trajectory_abort of abort_reason
+exception Budget_expired
 
 exception Cancelled
 
 type traj = {
-  t_index : int;
-  t_seed : int;  (* perturbation stream seed; unused when t_index = 0 *)
-  t_bound : bound_state option;
+  t_seed : int;  (* perturbation stream seed *)
   t_deadline : float option;  (* absolute wall clock *)
   t_fit_scale : float * float;  (* merge PFU/pin cap scale, each <= 1.0 *)
-  t_basis : Incremental.Store.t option;
-      (* shared recording store: perturbed trajectories (index >= 1)
-         publish and adopt replay bases across their physically distinct
-         clusterings; [None] for trajectory 0, which stays bit-identical
-         to a plain run down to its counters *)
 }
 
 type options = {
@@ -98,13 +75,9 @@ type eval_stats = {
   rebuilds : int;
   merge_replays : int;
   merge_rebuilds : int;
-  basis_adoptions : int;
-  basis_cuts : int;
   traj_launched : int;
   traj_completed : int;
   traj_aborted : int;
-  bound_aborts : int;
-  incumbent_updates : int;
 }
 
 type result = {
@@ -140,8 +113,8 @@ type ctx = {
   rollback_counter : Trace.Counter.t;
   trace : Trace.t option;
   check_budget : unit -> unit;
-      (* raises [Trajectory_abort Budget_abort] past the deadline; a
-         no-op closure outside portfolio runs *)
+      (* raises [Budget_expired] past the deadline; a no-op closure
+         outside portfolio runs *)
   perturb : Rng.t option;
       (* the trajectory's perturbation stream; [None] for trajectory 0
          and plain runs, which therefore stay bit-identical *)
@@ -151,7 +124,7 @@ type ctx = {
          around the [Merge.optimize] span in [run_flow] *)
 }
 
-let make_ctx (opts : options) =
+let make_ctx ?basis (opts : options) =
   let metrics = Trace.Metrics.create () in
   (* Cooperative cancellation shares the budget check's commit points:
      a flow is cancellable exactly where it is budget-abortable. *)
@@ -165,23 +138,17 @@ let make_ctx (opts : options) =
     | Some { t_deadline = Some d; _ } ->
         fun () ->
           check_cancel ();
-          if Unix.gettimeofday () > d then
-            raise (Trajectory_abort Budget_abort)
+          if Unix.gettimeofday () > d then raise Budget_expired
     | Some { t_deadline = None; _ } | None -> check_cancel
   in
   let perturb =
     match opts.portfolio with
-    | Some t when t.t_index > 0 -> Some (Rng.create t.t_seed)
-    | Some _ | None -> None
-  in
-  let basis_store =
-    match opts.portfolio with
-    | Some { t_basis; _ } -> t_basis
+    | Some t -> Some (Rng.create t.t_seed)
     | None -> None
   in
   {
     eval =
-      Incremental.create ~reference:(not opts.incremental) ?store:basis_store
+      Incremental.create ~reference:(not opts.incremental) ?basis
         ?trace:opts.trace ~metrics ();
     rollback_counter = Trace.Metrics.counter metrics "eval.rollbacks";
     trace = opts.trace;
@@ -202,104 +169,10 @@ let eval_stats_of ctx =
     rebuilds = Incremental.rebuilds ctx.eval;
     merge_replays = ctx.merge_replays;
     merge_rebuilds = ctx.merge_rebuilds;
-    basis_adoptions = Incremental.adoptions ctx.eval;
-    basis_cuts = Incremental.basis_cuts ctx.eval;
     traj_launched = 0;
     traj_completed = 0;
     traj_aborted = 0;
-    bound_aborts = 0;
-    incumbent_updates = 0;
   }
-
-(* ---------------- Incumbent-bound cost floors ----------------
-
-   A trajectory may abort only when its floor — an admissible lower
-   bound on the cost of the result it would eventually return — already
-   loses to the incumbent (a *completed* feasible result), because then
-   the trajectory provably cannot become the portfolio winner, whatever
-   the interleaving.  Soundness rests on what the remaining phases can
-   remove:
-
-   - the merge phase only collapses programmable devices and drops
-     detached links; it never vacates a CPU or ASIC, and mode combining
-     stays on one device.  So the base + memory cost of in-use
-     non-programmable PEs survives merging, and if any programmable
-     device hosts clusters, at least one (from the current in-use set)
-     survives too;
-   - repair performs at most 20 rip-up attempts, each vacating at most
-     the one PE the ripped cluster sat on (re-allocation only adds), so
-     during allocation the floor is discounted by the costliest in-use
-     PEs repair could still vacate — all 20 slots during allocation,
-     only the remaining attempts once repair is under way.  With
-     reconfiguration off the merge phase never runs, so the floor counts
-     *every* in-use PE (headroom then also ranges over every in-use PE,
-     as rip-ups can vacate programmable devices too); with it on, only
-     non-programmable PEs are entitled to survive, and the headroom
-     ranges over those;
-   - interface synthesis replaces the PROM component of the cost with
-     [interface_cost >= 0], so every floor excludes PROM and link terms
-     it is not entitled to; fault-tolerance spare provisioning only adds
-     cost on top of the core result. *)
-
-let pe_floor_cost (pe : Arch.pe_inst) =
-  pe.Arch.ptype.Pe.cost
-  +.
-  match pe.Arch.ptype.Pe.pe_class with
-  | Pe.General_purpose cpu ->
-      float_of_int (Arch.memory_banks pe) *. cpu.Pe.memory_bank_cost
-  | Pe.Asic_pe _ | Pe.Programmable _ -> 0.0
-
-let floor_nonprog arch =
-  Vec.fold
-    (fun acc (pe : Arch.pe_inst) ->
-      if Arch.pe_in_use pe && not (Pe.is_programmable pe.Arch.ptype) then
-        acc +. pe_floor_cost pe
-      else acc)
-    0.0 arch.Arch.pes
-
-(* Sum of the [rip_budget] costliest in-use PEs repair could still
-   vacate or shrink: each remaining rip-up attempt vacates at most one
-   PE.  [all] widens the candidate set to programmable devices — needed
-   when the floor itself counts them (reconfiguration off). *)
-let repair_headroom ?(rip_budget = 20) ~all arch =
-  let costs =
-    Vec.fold
-      (fun acc (pe : Arch.pe_inst) ->
-        if Arch.pe_in_use pe && (all || not (Pe.is_programmable pe.Arch.ptype))
-        then pe_floor_cost pe :: acc
-        else acc)
-      [] arch.Arch.pes
-  in
-  let sorted = List.sort (fun a b -> compare b a) costs in
-  let rec top n acc = function
-    | [] -> acc
-    | _ when n <= 0 -> acc
-    | c :: tl -> top (n - 1) (acc +. c) tl
-  in
-  top rip_budget 0.0 sorted
-
-(* Cheapest in-use programmable device: merging can collapse the PPEs
-   down to (at least) one of the current in-use set when any cluster
-   lives on a programmable device. *)
-let floor_min_ppe arch =
-  Vec.fold
-    (fun acc (pe : Arch.pe_inst) ->
-      if Arch.pe_in_use pe && Pe.is_programmable pe.Arch.ptype then
-        match acc with
-        | None -> Some pe.Arch.ptype.Pe.cost
-        | Some m -> Some (Float.min m pe.Arch.ptype.Pe.cost)
-      else acc)
-    None arch.Arch.pes
-  |> Option.value ~default:0.0
-
-(* Once the PE set is final (post-merge, or post-repair without the
-   merge phase): base + memory of everything in use; PROM and links
-   still excluded (interface synthesis is pending). *)
-let floor_all arch =
-  Vec.fold
-    (fun acc (pe : Arch.pe_inst) ->
-      if Arch.pe_in_use pe then acc +. pe_floor_cost pe else acc)
-    0.0 arch.Arch.pes
 
 (* One counter sample per phase boundary: the evaluator counters as a
    Chrome counter track, so the trace shows where the prunes and
@@ -311,8 +184,6 @@ let sample_eval_counters ctx =
       ("rollbacks", Trace.Counter.get ctx.rollback_counter);
       ("replays", Incremental.replays ctx.eval);
       ("rebuilds", Incremental.rebuilds ctx.eval);
-      ("basis_adoptions", Incremental.adoptions ctx.eval);
-      ("basis_cuts", Incremental.basis_cuts ctx.eval);
     ]
 
 let n_modes arch =
@@ -496,44 +367,18 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
   end
 
 (* The synthesis flow proper, shared by [synthesize] (fresh architecture)
-   and [continue_allocation] (extend a partial result): allocate every
-   cluster not yet placed and not skipped, repair residual tardiness,
-   run dynamic-reconfiguration generation, synthesize the programming
-   interface and assemble the result. *)
-let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch ~skip =
-  ignore lib;
-  let ctx = make_ctx opts in
+   and [Resynth.apply] (repair a deployed one): allocate every cluster
+   not yet placed and not skipped, repair residual tardiness, run
+   dynamic-reconfiguration generation, synthesize the programming
+   interface and assemble the result.  [basis], a recording of [arch]
+   taken by the caller, seeds the run's evaluator. *)
+let run_flow ~opts ~t0 ~w0 ?basis (spec : Spec.t) (clustering : Clustering.t)
+    arch ~skip =
+  let ctx = make_ctx ?basis opts in
   let copy_cap = opts.copy_cap in
   let estimate a = Incremental.estimate ctx.eval ~copy_cap spec clustering a
   and evaluate a = Incremental.evaluate ctx.eval ~copy_cap spec clustering a
   and schedule a = Incremental.run ctx.eval ~copy_cap spec clustering a in
-  let traj = opts.portfolio in
-  (* Incumbent-bound check: abort iff (floor, index) strictly loses to
-     the incumbent (cost, index) lexicographically — the final result's
-     cost is >= floor, so it would lose too, whatever the interleaving.
-     The floor thunk only runs when a bound is armed. *)
-  let check_bound floor_of =
-    match traj with
-    | Some { t_bound = Some b; t_index; _ } -> (
-        match Atomic.get b.b_best with
-        | Some (bc, bi) ->
-            let floor = floor_of () in
-            if floor > bc || (floor = bc && t_index > bi) then
-              raise
-                (Trajectory_abort
-                   (Bound_abort
-                      { floor; incumbent_cost = bc; incumbent_index = bi }))
-        | None -> ())
-    | Some { t_bound = None; _ } | None -> ()
-  in
-  (* Admissible floor while repair (and, with reconfiguration on, the
-     merge phase) is still ahead.  [rip_budget] is how many rip-up
-     attempts remain: 20 during allocation, fewer once repair runs. *)
-  let pre_merge_floor ?rip_budget () =
-    if opts.dynamic_reconfiguration then
-      floor_nonprog arch -. repair_headroom ?rip_budget ~all:false arch
-    else floor_all arch -. repair_headroom ?rip_budget ~all:true arch
-  in
   let total = Array.length clustering.Clustering.clusters in
   let allocated = Array.make total false in
   let remaining = ref 0 in
@@ -601,9 +446,6 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
           Incremental.refresh ctx.eval ~copy_cap spec clustering arch;
           allocated.(cluster.cid) <- true;
           ctx.check_budget ();
-          (* During allocation, repair (<= 20 vacating rip-ups) and the
-             merge phase are still ahead: discount accordingly. *)
-          check_bound (fun () -> pre_merge_floor ());
           allocate_all (remaining - 1)
     end
   in
@@ -677,9 +519,6 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
       if k = 0 then schedule_of current
       else begin
         ctx.check_budget ();
-        (* Each attempt is a full rip-up/re-allocate cycle; at most [k]
-           remain, so the headroom discount shrinks as repair proceeds. *)
-        check_bound (fun () -> pre_merge_floor ~rip_budget:k ());
         match schedule_of current with
         | Error _ as e -> e
         | Ok sched when sched.Schedule.deadlines_met -> Ok sched
@@ -719,38 +558,9 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
       let repaired = Trace.span ctx.trace "repair" repair in
       sample_eval_counters ctx;
       ctx.check_budget ();
-      (* Post-repair, a positive tardiness lower bound is terminal: the
-         merge phase only accepts feasible trials and interface
-         synthesis never flips a missed verdict, so the trajectory ends
-         infeasible and loses to any feasible incumbent. *)
-      (match traj with
-      | Some { t_bound = Some b; _ } -> (
-          match Atomic.get b.b_best with
-          | Some (bc, bi) -> (
-              match estimate arch with
-              | Ok lb when lb > 0 ->
-                  raise
-                    (Trajectory_abort
-                       (Bound_abort
-                          {
-                            floor = infinity;
-                            incumbent_cost = bc;
-                            incumbent_index = bi;
-                          }))
-              | Ok _ | Error _ -> ())
-          | None -> ())
-      | Some { t_bound = None; _ } | None -> ());
-      check_bound (fun () ->
-          if opts.dynamic_reconfiguration then
-            floor_nonprog arch +. floor_min_ppe arch
-          else floor_all arch);
       (* Dynamic-reconfiguration generation. *)
       let fit_scale =
-        match traj with Some t -> t.t_fit_scale | None -> (1.0, 1.0)
-      in
-      let on_pass a =
-        ctx.check_budget ();
-        check_bound (fun () -> floor_nonprog a +. floor_min_ppe a)
+        match opts.portfolio with Some t -> t.t_fit_scale | None -> (1.0, 1.0)
       in
       let merged =
         Result.map
@@ -762,8 +572,9 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
                 Trace.span ctx.trace "merge" (fun () ->
                     Merge.optimize ~copy_cap
                       ~max_trials_per_pass:opts.merge_trials_per_pass
-                      ~prune:opts.prune ~fit_scale ~on_pass ?trace:ctx.trace
-                      ~eval:ctx.eval ~schedule spec clustering arch)
+                      ~prune:opts.prune ~fit_scale ~on_pass:ctx.check_budget
+                      ?trace:ctx.trace ~eval:ctx.eval ~schedule spec clustering
+                      arch)
               in
               ctx.merge_replays <- Incremental.replays ctx.eval - replays0;
               ctx.merge_rebuilds <- Incremental.rebuilds ctx.eval - rebuilds0;
@@ -777,7 +588,6 @@ let run_flow ~opts ~t0 ~w0 (spec : Spec.t) lib (clustering : Clustering.t) arch 
       | Ok (final_arch, sched, merge_stats) ->
           sample_eval_counters ctx;
           ctx.check_budget ();
-          check_bound (fun () -> floor_all final_arch);
           (* Reconfiguration controller interface synthesis (Section 4.4):
              cheapest interface meeting the boot-time requirement without
              breaking deadlines.  Each option is judged by its verdict;
@@ -853,23 +663,8 @@ let synthesize ?(options = default_options) ?(include_graph = fun _ -> true)
                   Clustering.run ~max_cluster_size:opts.max_cluster_size spec lib
                 else Clustering.singletons spec lib)
           in
-          run_flow ~opts ~t0 ~w0 spec lib clustering (Arch.create lib)
+          run_flow ~opts ~t0 ~w0 spec clustering (Arch.create lib)
             ~skip:(fun (c : Clustering.cluster) -> not (include_graph c.graph)))
-
-let continue_allocation ?(options = default_options) (base : result) =
-  let t0 = Sys.time () in
-  let w0 = wall_now () in
-  Trace.span options.trace
-    ~args:[ ("spec", Trace.Str base.spec.Spec.name) ]
-    "synthesize.continue"
-    (fun () ->
-      let arch = Arch.copy base.arch in
-      (* The interface chosen for the partial architecture is re-synthesized
-         at the end of the extended flow. *)
-      arch.Arch.interface_cost <- None;
-      run_flow ~opts:options ~t0 ~w0 base.spec base.arch.Arch.lib base.clustering
-        arch
-        ~skip:(fun _ -> false))
 
 (* ---------------- Anytime portfolio search ---------------- *)
 
@@ -879,15 +674,13 @@ module Portfolio = struct
     completed : int;
     failed : int;
     aborted : int;
-    bound_aborts : int;
     budget_aborts : int;
-    incumbent_updates : int;
   }
 
   type trajectory_report =
     | Completed of { t_cost : float; t_met : bool }
     | Failed of string
-    | Aborted of abort_reason
+    | Aborted
 
   type 'a outcome = {
     best : 'a;
@@ -899,18 +692,15 @@ module Portfolio = struct
     stats : stats;
   }
 
-  let resolve_n ?pool n =
-    if n > 0 then n
-    else Pool.size (match pool with Some p -> p | None -> Pool.global ())
+  let resolve_n n = if n > 0 then n else Pool.size (Pool.global ())
 
   (* Knob derivation for trajectory [index]: a short dedicated stream
      seeded from (seed, index) draws the option-level knobs in a fixed
      order, plus the seed of the flow-level jitter stream.  Trajectory 0
      is the unperturbed reference — no control block at all, so it is
-     bit-identical to the plain flow and exempt from bound and budget
-     aborts (it is the anytime fallback and the [baseline_cost]). *)
-  let make_traj_options (base : options) ~seed ~index ~bound ~deadline
-      ~basis =
+     bit-identical to the plain flow and exempt from the budget (it is
+     the anytime fallback and the [baseline_cost]). *)
+  let make_traj_options (base : options) ~seed ~index ~deadline =
     if index = 0 then base
     else begin
       let kr = Rng.create ((seed * 1_000_003) + (index * 7919)) in
@@ -938,37 +728,12 @@ module Portfolio = struct
         merge_trials_per_pass;
         portfolio =
           Some
-            {
-              t_index = index;
-              t_seed = flow_seed;
-              t_bound = bound;
-              t_deadline = deadline;
-              t_fit_scale;
-              t_basis = basis;
-            };
+            { t_seed = flow_seed; t_deadline = deadline; t_fit_scale };
       }
     end
 
   let trajectory_options (base : options) ~seed ~index =
-    make_traj_options base ~seed ~index ~bound:None ~deadline:None ~basis:None
-
-  let offer_incumbent bound ~cost ~index =
-    match bound with
-    | None -> ()
-    | Some b ->
-        let rec loop () =
-          let cur = Atomic.get b.b_best in
-          let better =
-            match cur with
-            | None -> true
-            | Some (c, i) -> cost < c || (cost = c && index < i)
-          in
-          if better then
-            if Atomic.compare_and_set b.b_best cur (Some (cost, index)) then
-              Atomic.incr b.b_updates
-            else loop ()
-        in
-        loop ()
+    make_traj_options base ~seed ~index ~deadline:None
 
   let annotate (es : eval_stats) (s : stats) =
     {
@@ -976,14 +741,10 @@ module Portfolio = struct
       traj_launched = s.launched;
       traj_completed = s.completed;
       traj_aborted = s.aborted;
-      bound_aborts = s.bound_aborts;
-      incumbent_updates = s.incumbent_updates;
     }
 
-  let run ?pool ?budget_ms ?(seed = 0) ?(use_bound = true) ~n ~options ~flow
-      ~cost ~met () =
-    let pool = match pool with Some p -> p | None -> Pool.global () in
-    let n = if n > 0 then n else Pool.size pool in
+  let run ?budget_ms ?(seed = 0) ~n ~options ~flow ~cost ~met () =
+    let n = resolve_n n in
     if n = 1 && budget_ms = None then
       (* Pure passthrough: [--portfolio 1] is the plain flow, options
          untouched, bit for bit. *)
@@ -1005,9 +766,7 @@ module Portfolio = struct
                   completed = 1;
                   failed = 0;
                   aborted = 0;
-                  bound_aborts = 0;
                   budget_aborts = 0;
-                  incumbent_updates = 0;
                 };
             }
     else begin
@@ -1016,47 +775,29 @@ module Portfolio = struct
       let deadline =
         Option.map (fun ms -> w0 +. (float_of_int ms /. 1000.0)) budget_ms
       in
-      let bound =
-        if use_bound then
-          Some { b_best = Atomic.make None; b_updates = Atomic.make 0 }
-        else None
-      in
-      (* One shared recording store for the perturbed trajectories: they
-         run content-identical (or near-identical) clusterings over the
-         same physical spec, so a basis recorded by one seeds the others
-         through cross-clustering adoption.  Results are unaffected —
-         adopted replays are bit-identical by construction and the
-         copy-cap check excludes cap-perturbed trajectories — only
-         wall-clock and the replay/adoption counters move. *)
-      let basis = Some (Incremental.Store.create ()) in
+      (* Each trajectory is an independent flow with its own evaluator;
+         only the budget can stop one early, so without a budget every
+         trajectory's result and counters are a function of
+         (seed, index) alone. *)
       let run_traj k =
         let expired =
           k > 0
           &&
           match deadline with Some d -> wall_now () > d | None -> false
         in
-        if expired then `Abort Budget_abort
+        if expired then `Abort
         else begin
           let opts_k =
             make_traj_options options ~seed ~index:k
-              ~bound:(if k = 0 then None else bound)
               ~deadline:(if k = 0 then None else deadline)
-              ~basis
           in
           match flow opts_k with
-          | Ok r ->
-              let c = cost r and m = met r in
-              (* Only completed feasible results arm the bound: an abort
-                 decision can then never rest on a result that is not in
-                 the final pool, which is what makes the winner
-                 interleaving-independent. *)
-              if m then offer_incumbent bound ~cost:c ~index:k;
-              `Done (r, c, m)
+          | Ok r -> `Done (r, cost r, met r)
           | Error e -> `Err e
-          | exception Trajectory_abort reason -> `Abort reason
+          | exception Budget_expired -> `Abort
         end
       in
-      let cells = Pool.map_n ~jobs pool run_traj n in
+      let cells = Pool.map_n ~jobs (Pool.global ()) run_traj n in
       let best = ref None in
       Array.iteri
         (fun k cell ->
@@ -1066,35 +807,31 @@ module Portfolio = struct
               (match !best with
               | Some (bkey, _) when bkey <= key -> ()
               | _ -> best := Some (key, (r, c, m, k)))
-          | `Err _ | `Abort _ -> ())
+          | `Err _ | `Abort -> ())
         cells;
       let trajectories =
         Array.map
           (function
             | `Done (_, c, m) -> Completed { t_cost = c; t_met = m }
             | `Err e -> Failed e
-            | `Abort reason -> Aborted reason)
+            | `Abort -> Aborted)
           cells
       in
       let count p = Array.fold_left (fun a t -> if p t then a + 1 else a) 0 trajectories in
+      let aborted = count (function Aborted -> true | _ -> false) in
       let stats =
         {
           launched = n;
           completed = count (function Completed _ -> true | _ -> false);
           failed = count (function Failed _ -> true | _ -> false);
-          aborted = count (function Aborted _ -> true | _ -> false);
-          bound_aborts =
-            count (function Aborted (Bound_abort _) -> true | _ -> false);
-          budget_aborts =
-            count (function Aborted Budget_abort -> true | _ -> false);
-          incumbent_updates =
-            (match bound with Some b -> Atomic.get b.b_updates | None -> 0);
+          aborted;
+          budget_aborts = aborted;
         }
       in
       let baseline_cost =
         match trajectories.(0) with
         | Completed { t_cost; _ } -> Some t_cost
-        | Failed _ | Aborted _ -> None
+        | Failed _ | Aborted -> None
       in
       match !best with
       | Some (_, (r, c, m, k)) ->
@@ -1111,7 +848,7 @@ module Portfolio = struct
       | None -> (
           match cells.(0) with
           | `Err e -> Error e
-          | `Done _ | `Abort _ -> Error "portfolio: no trajectory completed")
+          | `Done _ | `Abort -> Error "portfolio: no trajectory completed")
     end
 end
 
@@ -1368,10 +1105,10 @@ let result_json (r : result) =
 
    Repair a deployed architecture after a change event instead of
    synthesizing from scratch: compute the invalidation closure of the
-   change (the clusters it rips up), seed the incremental engine's
-   recording store from the post-change architecture so untouched
-   schedule prefixes replay verbatim, and re-run the flow over only the
-   cut tail — placed clusters are treated as already allocated by
+   change (the clusters it rips up), seed the incremental engine with a
+   recording of the post-change architecture so untouched schedule
+   prefixes replay verbatim, and re-run the flow over only the cut
+   tail — placed clusters are treated as already allocated by
    [run_flow], so allocation touches exactly the ripped/arriving set. *)
 
 module Resynth = struct
@@ -1428,27 +1165,6 @@ module Resynth = struct
     match rep.verdict with
     | Images_only { result; _ } | Needs_hardware { result; _ } -> Some result
     | Infeasible -> None
-
-  (* Carry a replay-basis store through the options without perturbing
-     anything else: a [t_index = 0] trajectory with no bound, no
-     deadline and neutral fit scales runs bit-identically to the plain
-     flow — its only effect is that [make_ctx] hands the store to the
-     incremental engine. *)
-  let with_basis_store (opts : options) store =
-    let traj =
-      match opts.portfolio with
-      | Some t -> { t with t_basis = Some store }
-      | None ->
-          {
-            t_index = 0;
-            t_seed = 0;
-            t_bound = None;
-            t_deadline = None;
-            t_fit_scale = (1.0, 1.0);
-            t_basis = Some store;
-          }
-    in
-    { opts with portfolio = Some traj }
 
   (* Rebuild the specification with every feasible execution time scaled
      by [pct] percent.  Ids, edges, compatibility vectors and the
@@ -1626,32 +1342,29 @@ module Resynth = struct
         | Error _ as e -> e
         | Ok (spec', skip, mk_arch, ripped) ->
             (* Warm start: record one schedule of the post-change
-               architecture into a shared store; both attempts' engines
-               then replay every schedule prefix the change provably
-               left untouched.  (Under drift the recording is taken
-               against the rebuilt spec — every execution time changed,
-               so the deployed recording itself is useless, but the
-               still-placed architecture is rescheduled once and that
-               recording serves the repair trials.) *)
-            let store = Incremental.Store.create () in
-            if options.incremental then begin
-              let eng = Incremental.create ~store () in
-              Incremental.refresh eng ~copy_cap:options.copy_cap spec'
-                clustering (mk_arch ())
-            end;
+               architecture; each attempt's evaluator starts from that
+               recording and replays every schedule prefix the change
+               provably left untouched.  (Under drift the recording is
+               taken against the rebuilt spec — every execution time
+               changed, so the deployed recording itself is useless, but
+               the still-placed architecture is rescheduled once and
+               that recording serves the repair trials.) *)
+            let basis =
+              if options.incremental then
+                Result.to_option
+                  (Schedule.Replay.record_only ~copy_cap:options.copy_cap
+                     spec' clustering (mk_arch ()))
+              else None
+            in
             let attempt ~allow_new_pes =
               let opts = { options with allow_new_pes } in
-              let opts =
-                if opts.incremental then with_basis_store opts store else opts
-              in
               let arch0 = mk_arch () in
               arch0.Arch.interface_cost <- None;
               Trace.span options.trace
                 ~args:[ ("new_pes", Trace.Str (string_of_bool allow_new_pes)) ]
                 "resynth.attempt"
                 (fun () ->
-                  run_flow ~opts ~t0 ~w0 spec' deployed.arch.Arch.lib
-                    clustering arch0 ~skip)
+                  run_flow ~opts ~t0 ~w0 ?basis spec' clustering arch0 ~skip)
             in
             let outcome = function
               | Ok (r : result) ->

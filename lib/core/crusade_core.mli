@@ -6,18 +6,6 @@
     merging of programmable devices into multi-mode devices, and
     reconfiguration-controller interface synthesis). *)
 
-type abort_reason =
-  | Bound_abort of {
-      floor : float;
-          (** admissible lower bound on the cost the trajectory would
-              have returned; [infinity] encodes "provably infeasible"
-              (positive tardiness lower bound after repair) *)
-      incumbent_cost : float;
-      incumbent_index : int;
-    }
-  | Budget_abort
-      (** the wall-clock budget expired at a cooperative check point *)
-
 type traj
 (** Per-trajectory portfolio control block carried in {!options}
     ([portfolio] field).  Constructed only by
@@ -75,8 +63,8 @@ type options = {
           plain runs — zero overhead).  When set (by {!Portfolio}), the
           flow perturbs its cluster pop order, allocation tie-breaks and
           merge knobs from the trajectory's seeded stream, and checks
-          the shared incumbent bound / wall-clock budget at commit
-          points, aborting when it provably cannot win. *)
+          the wall-clock budget at commit points, stopping once it has
+          expired. *)
   cancel : (unit -> bool) option;
       (** cooperative cancellation hook ([None], the default, costs
           nothing): polled at the same commit points as the portfolio
@@ -113,32 +101,17 @@ type eval_stats = {
       (** the merge phase's share of [replays] — how much of the PPE
           merge/combine trial load the incremental basis absorbed *)
   merge_rebuilds : int;  (** the merge phase's share of [rebuilds] *)
-  basis_adoptions : int;
-      (** replays served by a basis recorded under a different
-          clustering identity (cross-basis adoption; a subset of
-          [replays]).  Zero outside portfolio runs — a single
-          trajectory's bases always carry its own clustering *)
-  basis_cuts : int;
-      (** total recording steps the adopted bases could not cover (the
-          rescheduled remainders); small relative to adoptions means
-          bases transplant well across clusterings *)
   traj_launched : int;
       (** portfolio trajectories launched; 0 outside portfolio runs
           (the winning result is annotated via {!Portfolio.annotate}) *)
   traj_completed : int;  (** trajectories that ran to completion *)
-  traj_aborted : int;  (** bound- or budget-aborted trajectories *)
-  bound_aborts : int;
-      (** trajectories aborted by the shared incumbent bound; the count
-          (unlike the winner) depends on domain interleaving *)
-  incumbent_updates : int;
-      (** times a completed feasible result improved the shared bound *)
+  traj_aborted : int;  (** trajectories stopped by the budget *)
 }
 (** Two-stage-evaluator counters of one synthesis flow.  Each flow owns
     its counters (and its evaluator), so back-to-back or concurrent
     syntheses in one process report fully independent, exact statistics.
-    The [traj_*]/[bound_aborts]/[incumbent_updates] fields are zero for
-    plain flows; {!Portfolio.annotate} folds a portfolio run's counters
-    into its winning result. *)
+    The [traj_*] fields are zero for plain flows; {!Portfolio.annotate}
+    folds a portfolio run's counters into its winning result. *)
 
 type result = {
   spec : Crusade_taskgraph.Spec.t;
@@ -173,50 +146,37 @@ val synthesize :
     (the deployed base of a {!Resynth} graph arrival or field upgrade);
     excluded graphs' clusters stay unallocated. *)
 
-val continue_allocation :
-  ?options:options -> result -> (result, string) Stdlib.result
-(** Resumes a partial synthesis: allocates every still-unplaced cluster
-    against (a copy of) the result's architecture, then re-runs
-    dynamic-reconfiguration generation and interface synthesis.  With
-    [options.allow_new_pes = false] this asks: can the remaining
-    functionality be accommodated purely by reprogramming the deployed
-    hardware? *)
-
 (** Anytime portfolio-parallel search (DESIGN.md "Portfolio search").
 
     Runs N perturbed copies of a synthesis flow concurrently on the
     {!Crusade_util.Pool} domain pool.  Trajectory 0 is the unperturbed
-    reference (bit-identical to the plain flow, exempt from aborts);
+    reference (bit-identical to the plain flow, exempt from the budget);
     trajectories 1..N-1 draw deterministic perturbations — cluster
     pop-order jitter, allocation tie-break jitter, evaluation-window /
     copy-cap / merge-knob variation — from a stream seeded by
-    (seed, index).  Completed feasible results publish into a shared
-    atomic incumbent (cost, index) bound; at its commit points a
-    trajectory compares an admissible cost floor against the incumbent
-    and aborts when it provably cannot win.  Because aborts only ever
-    remove trajectories that could not have won, the winner — resolved
-    as the lexicographic minimum of (deadlines missed, cost, index) over
-    completed trajectories — is identical for a fixed (seed, N)
-    whatever the domain interleaving or [options.jobs] value; only the
-    abort counters vary.  With a [budget_ms] wall-clock budget, trajectories
-    past the deadline abort at their next check point and the best
-    result found so far is returned (determinism then extends only to
-    the trajectories that completed). *)
+    (seed, index).  Trajectories share nothing but the pool: each runs
+    its own flow with its own evaluator, so every trajectory's result
+    and counters, the winner — the lexicographic minimum of (deadlines
+    missed, cost, index) over completed trajectories — and the
+    portfolio's [stats] are a function of (seed, N), whatever the
+    domain interleaving or [options.jobs] value.  With a [budget_ms]
+    wall-clock budget, trajectories past the deadline stop at their next
+    check point and the best result found so far is returned
+    (determinism then extends only to the trajectories that
+    completed). *)
 module Portfolio : sig
   type stats = {
     launched : int;
     completed : int;
     failed : int;  (** flows that returned [Error] *)
     aborted : int;
-    bound_aborts : int;
     budget_aborts : int;
-    incumbent_updates : int;
   }
 
   type trajectory_report =
     | Completed of { t_cost : float; t_met : bool }
     | Failed of string
-    | Aborted of abort_reason
+    | Aborted  (** the wall-clock budget expired at a check point *)
 
   type 'a outcome = {
     best : 'a;
@@ -226,30 +186,28 @@ module Portfolio : sig
     baseline_cost : float option;
         (** trajectory 0's (unperturbed) cost; [None] only if it failed *)
     trajectories : trajectory_report array;
-        (** per-trajectory diagnostics; which losing trajectories show
-            as [Aborted] (vs [Completed]) depends on interleaving *)
+        (** per-trajectory diagnostics; only a budget makes any
+            trajectory [Aborted] *)
     stats : stats;
   }
 
-  val resolve_n : ?pool:Crusade_util.Pool.t -> int -> int
+  val resolve_n : int -> int
   (** [resolve_n n] maps the CLI convention: [n <= 0] means one
       trajectory per available domain ({!Crusade_util.Pool.size}). *)
 
   val trajectory_options : options -> seed:int -> index:int -> options
   (** The exact options trajectory [index] of a [run] with this [seed]
-      executes, minus bound and budget — for rerunning a trajectory to
-      completion (abort-soundness oracles, debugging).  [index = 0]
-      returns the base options (the unperturbed reference). *)
+      executes, minus the budget — for rerunning one trajectory alone
+      (debugging).  [index = 0] returns the base options (the
+      unperturbed reference). *)
 
   val annotate : eval_stats -> stats -> eval_stats
   (** Folds portfolio counters into a result's [eval_stats] (used by the
       CLI/bench drivers on the winning result). *)
 
   val run :
-    ?pool:Crusade_util.Pool.t ->
     ?budget_ms:int ->
     ?seed:int ->
-    ?use_bound:bool ->
     n:int ->
     options:options ->
     flow:(options -> ('a, string) Stdlib.result) ->
@@ -264,12 +222,10 @@ module Portfolio : sig
       exceptions pass through.  [cost]/[met] project the comparison key
       out of a flow result.  [n <= 0] resolves via {!resolve_n};
       [n = 1] without budget is a pure passthrough of [flow options].
-      [min n options.jobs] trajectories run concurrently on the pool
-      (fewer when the machine has fewer domains).  [use_bound:false]
-      disarms the incumbent bound (every trajectory runs to completion —
-      the differential oracle for abort soundness).  [Error] is returned
-      only when no trajectory completed — trajectory 0 cannot abort, so
-      in practice exactly when the plain flow errors. *)
+      [min n options.jobs] trajectories run concurrently on the global
+      pool (fewer when the machine has fewer domains).  [Error] is
+      returned only when no trajectory completed — trajectory 0 cannot
+      abort, so in practice exactly when the plain flow errors. *)
 end
 
 val audit : ?include_graph:(int -> bool) -> result -> Crusade_alloc.Audit.violation list
@@ -319,7 +275,7 @@ val result_json : result -> string
 
     {!Resynth.apply} computes the invalidation closure of the change —
     the clusters it rips out of their sites — seeds the incremental
-    engine's recording store from the post-change architecture so every
+    engine with a recording of the post-change architecture so every
     schedule prefix the change provably left untouched replays verbatim,
     and re-runs the synthesis flow over only the cut tail (placed
     clusters are treated as already allocated).  Two attempts mirror the

@@ -118,7 +118,7 @@ let apply_combine spec clustering arch ~pe_id ~mode_a ~mode_b =
 let feasible (v : Schedule.verdict) = v.Schedule.v_met
 
 let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400)
-    ?(prune = true) ?(fit_scale = (1.0, 1.0)) ?(on_pass = fun _ -> ()) ?trace
+    ?(prune = true) ?(fit_scale = (1.0, 1.0)) ?(on_pass = fun () -> ()) ?trace
     ~eval ~schedule spec clustering arch =
   (* Trials never deep-copy the architecture: they mutate the live one
      under a journal checkpoint, evaluate the delta (the incremental
@@ -152,9 +152,8 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
     improved := false;
     incr iterations;
     Trace.instant trace "merge.pass";
-    (* Portfolio hook: bound/budget checks may raise to abort the
-       trajectory between passes. *)
-    on_pass current;
+    (* Budget/cancel hook: may raise to stop the run between passes. *)
+    on_pass ();
     let compat = Compat.matrix spec !current_sched in
     (* Merge array: candidate (src, dst) PPE pairs, best saving first. *)
     let ppes =

@@ -25,7 +25,7 @@ val optimize :
   ?max_trials_per_pass:int ->
   ?prune:bool ->
   ?fit_scale:float * float ->
-  ?on_pass:(Crusade_alloc.Arch.t -> unit) ->
+  ?on_pass:(unit -> unit) ->
   ?trace:Crusade_util.Trace.t ->
   eval:Crusade_sched.Incremental.t ->
   schedule:Crusade_sched.Schedule.t ->
@@ -52,6 +52,6 @@ val optimize :
     used by the fit checks; portfolio trajectories perturb it
     {e downward} only, so a scaled pass can only reject merges the
     unperturbed pass would accept — never produce an over-capacity
-    architecture.  [on_pass] is called with the current architecture at
-    the start of every pass; a portfolio trajectory's incumbent-bound /
-    budget check may raise from it to abort the optimization. *)
+    architecture.  [on_pass] is called at the start of every pass; the
+    flow's budget and cancellation check may raise from it to stop the
+    optimization. *)

@@ -16,52 +16,35 @@
     downstream, and cuts the prefix before the first pop any marked
     instance could influence).
 
-    One engine is scoped to a synthesis trajectory and owns its
-    counters, so back-to-back or concurrent runs report independent
-    statistics.  It never caches schedules: a caller that needs the
-    schedule of an architecture it already scheduled keeps the value it
-    got.  The recording slots form a small MRU list keyed by (spec,
-    clustering, copy_cap) identity, so revisiting a clustering seen
-    earlier (a portfolio trajectory restart, a rescheduling round)
-    replays against the retained basis instead of paying a cold rebuild.
-    When no exact key matches, a basis recorded under a different
-    clustering of the same spec/copy_cap is {e adopted}
-    ({!Schedule.Replay.adoptable}): the per-task diff already covers
-    clustering-induced changes, so the adopted prefix replays
-    bit-identically and only the cut region is rescheduled.  Within one
-    trajectory adoption never fires (all of its bases share its
-    clustering identity); it pays off when several engines share a
-    {!Store.t}, as portfolio trajectories do.  The list is an atomic
-    holding immutable values, so trajectories on different domains may
-    share it. *)
-
-(** A shareable slot store.  Engines created over the same store publish
-    and look up recordings in one MRU list, letting portfolio
-    trajectories seed each other's bases via adoption. *)
-module Store : sig
-  type t
-
-  val create : unit -> t
-end
+    One engine is scoped to a synthesis run and owns its counters, so
+    back-to-back or concurrent runs report independent statistics.  It
+    never caches schedules: a caller that needs the schedule of an
+    architecture it already scheduled keeps the value it got.  It holds
+    exactly one recording.  Every call of a run shares one (spec,
+    clustering, copy_cap) key, so that slot always holds the run's
+    freshest basis; a call under another key rebuilds and takes the
+    slot over. *)
 
 type t
 
 val create :
   ?reference:bool ->
-  ?store:Store.t ->
+  ?basis:Schedule.Replay.recording ->
   ?trace:Crusade_util.Trace.t ->
   ?metrics:Crusade_util.Trace.Metrics.t ->
   unit ->
   t
-(** A fresh engine; private empty slots unless [?store] is given.
-    [~reference:true] makes it the reference evaluator: every {!run} and
-    {!evaluate} is one plain {!Schedule.run}, nothing is recorded,
-    [?store] is ignored and the replay counters stay 0 (the synthesis
-    options select it with [incremental = false]).  [?metrics] registers
-    the counters as ["eval.replays"] / ["eval.rebuilds"] /
-    ["eval.basis_adoptions"] / ["eval.basis_cuts"] / ["eval.pruned"];
-    [?trace] emits a span around every underlying scheduler run and
-    {!estimate}, and an instant event per replayed evaluation. *)
+(** A fresh engine whose slot holds [basis] (empty by default), so a
+    caller that already recorded the architecture a run starts from (a
+    warm re-synthesis does) makes the run's first evaluation a
+    replay.  [~reference:true] makes it the reference evaluator: every
+    {!run} and {!evaluate} is one plain {!Schedule.run}, nothing is
+    recorded, [basis] is ignored and the replay counters stay 0 (the
+    synthesis options select it with [incremental = false]).  [?metrics]
+    registers the counters as ["eval.replays"] / ["eval.rebuilds"] /
+    ["eval.pruned"]; [?trace] emits a span around every underlying
+    scheduler run and {!estimate}, and an instant event per replayed
+    evaluation. *)
 
 val run :
   t ->
@@ -96,11 +79,11 @@ val evaluate :
   (Schedule.verdict, string) result
 (** Verdict of a trial candidate, bit-identical to a fresh run's
     [total_tardiness] / [deadlines_met] / [scheduled_tasks].  Served by a
-    prefix replay whenever a compatible (exact-key) or adoptable
-    (cross-clustering) recording exists — even a zero-length prefix
-    wins, because the verdict-only run skips materialization and
-    recording overhead; otherwise by a {!run}, which also seeds the
-    recording. *)
+    prefix replay whenever the engine's recording is
+    {!Schedule.Replay.compatible} with the call — even a zero-length
+    prefix wins, because the verdict-only run skips materialization and
+    recording overhead; otherwise by a {!run}, whose recording then
+    replaces the old one. *)
 
 val estimate :
   t ->
@@ -120,17 +103,8 @@ val prunes : t -> int
 (** Candidates rejected by the stage-1 bound ({!note_prune}). *)
 
 val replays : t -> int
-(** Evaluations served by prefix replay (exact or adopted basis). *)
+(** Evaluations served by prefix replay. *)
 
 val rebuilds : t -> int
 (** Full scheduler runs that refreshed the recording ({!run},
     {!refresh}, and {!evaluate}'s fallback). *)
-
-val adoptions : t -> int
-(** Replayed evaluations that used a cross-clustering adopted basis
-    (a subset of {!replays}). *)
-
-val basis_cuts : t -> int
-(** Total steps the adopted bases could not cover (sum over adopted
-    replays of recording steps minus replayed prefix).  Small relative
-    to adoptions means the bases transplant well. *)

@@ -1236,20 +1236,6 @@ module Replay = struct
       (clustering : Clustering.t) =
     r.r_spec == spec && r.r_clustering == clustering && r.r_copy_cap = copy_cap
 
-  (* Cross-basis adoption: a recording taken under a *different*
-     clustering identity is still a sound diff basis as long as the
-     physical spec and copy cap match.  The scheduler consumes the
-     clustering only through the task-indexed site/priority arrays —
-     recomputed for the candidate by [prepare] — and the recording's
-     snapshot is entirely task- and resource-indexed (no cluster ids),
-     so [replay_cut]'s per-task diff already accounts for every
-     clustering-induced change: tasks whose placement, levels or
-     resource environment moved are marked dirty and rescheduled, the
-     rest replay verbatim.  Spec identity must still be physical
-     ([==]): the diff indexes the recording's arrays by task id. *)
-  let adoptable (r : recording) ?(copy_cap = default_copy_cap) (spec : Spec.t) =
-    r.r_spec == spec && r.r_copy_cap = copy_cap
-
   let record ?(copy_cap = default_copy_cap) (spec : Spec.t)
       (clustering : Clustering.t) (arch : Arch.t) =
     let site_pe, site_mode = site_arrays spec clustering arch in

@@ -113,16 +113,6 @@ module Replay : sig
   (** A recording only applies to the same spec and clustering (by
       physical identity) and the same copy cap it was captured with. *)
 
-  val adoptable :
-    recording -> ?copy_cap:int -> Crusade_taskgraph.Spec.t -> bool
-  (** Weaker than {!compatible}: the recording may be used as a diff
-      basis under a {e different} clustering identity as long as the
-      physical spec and copy cap match.  Sound because the recording's
-      snapshot and {!prepare}'s diff are entirely task- and
-      resource-indexed — every clustering-induced change shows up as a
-      per-task placement/priority delta and lands in the rescheduled
-      cut; the adopted prefix replays bit-identically. *)
-
   val record :
     ?copy_cap:int ->
     Crusade_taskgraph.Spec.t ->

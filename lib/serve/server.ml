@@ -47,6 +47,8 @@ type t = {
   metrics : Trace.Metrics.t;
   mutable listener : Unix.file_descr option;
   mutable stopped : bool;
+  mutable listener_error : string option;
+      (* why [serve] died, if it did; [/healthz] reports it *)
 }
 
 let create cfg =
@@ -62,6 +64,7 @@ let create cfg =
     metrics = Trace.Metrics.create ();
     listener = None;
     stopped = false;
+    listener_error = None;
   }
 
 let bump t name = Trace.Counter.incr (Trace.Metrics.counter t.metrics name)
@@ -610,7 +613,13 @@ let handle t (req : Http.request) =
     match Store.find t.store id with None -> not_found () | Some job -> k job
   in
   match (req.Http.meth, segments) with
-  | "GET", [ "healthz" ] -> Http.response 200 "{\"ok\":true}"
+  | "GET", [ "healthz" ] -> (
+      match t.listener_error with
+      | None -> Http.response 200 "{\"ok\":true}"
+      | Some msg ->
+          Http.response 503
+            (Json.to_string
+               (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ])))
   | "GET", [ "stats" ] -> Http.response 200 (stats_json t)
   | "POST", [ "jobs" ] -> submit t req.Http.body
   | "GET", [ "jobs"; id ] ->
@@ -678,7 +687,8 @@ let listen ?(addr = "127.0.0.1") ~port t =
    before it was accepted or an interrupted call retries at once, and
    running out of descriptors or buffers retries after a pause that
    lets open connections close.  Only [stop] ends the loop; any other
-   error is raised. *)
+   error is recorded for [/healthz] and raised — under [start] the loop
+   runs on a thread whose death nobody else would see. *)
 let serve t fd =
   let rec loop () =
     match Unix.accept fd with
@@ -694,7 +704,15 @@ let serve t fd =
         Thread.delay 0.05;
         loop ()
   in
-  loop ()
+  try loop ()
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.listener_error <-
+      Some
+        (match e with
+        | Unix.Unix_error (err, fn, _) -> fn ^ ": " ^ Unix.error_message err
+        | e -> Printexc.to_string e);
+    Printexc.raise_with_backtrace e bt
 
 let start ?addr ~port t =
   let fd, actual = listen ?addr ~port t in

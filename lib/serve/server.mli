@@ -24,8 +24,11 @@
     - [DELETE /jobs/:id] — cooperative cancel: a queued job is removed
       outright, a running one is signalled through [options.cancel] and
       stops at its next commit point.
-    - [GET /healthz], [GET /stats] — liveness; queue depth, in-flight,
-      job states, cache hits/misses, per-phase latency totals. *)
+    - [GET /healthz] — liveness: 200 [{"ok":true}], or 503
+      [{"ok":false,"error":...}] once the accept loop ({!serve}) has
+      died.
+    - [GET /stats] — queue depth, in-flight, job states, cache
+      hits/misses, per-phase latency totals. *)
 
 type config = {
   max_in_flight : int;  (** jobs running concurrently on the pool *)
@@ -66,8 +69,9 @@ val serve : t -> Unix.file_descr -> unit
     connection, keep-alive until the peer closes (or sends
     [Connection: close]).  [EINTR] and [ECONNABORTED] are retried at
     once; [EMFILE], [ENFILE], [ENOBUFS] and [ENOMEM] after a short
-    pause.  Returns when {!stop} closes the socket; any other accept
-    error is raised. *)
+    pause.  Returns when {!stop} closes the socket; any other error is
+    recorded on the server, so [/healthz] answers 503 from then on, and
+    raised. *)
 
 val start : ?addr:string -> port:int -> t -> int
 (** {!listen} + {!serve} on a background thread; returns the port. *)

@@ -279,15 +279,6 @@ let upgrade_needs_hardware_when_full () =
           Alcotest.fail "overlapping 120-gate blocks cannot share F1/F2 modes"
       | R.Infeasible -> Alcotest.fail "unexpectedly infeasible")
 
-let continue_allocation_noop_when_complete () =
-  let spec = Ex.figure2 lib in
-  let r = Helpers.synthesize spec in
-  match C.continue_allocation r with
-  | Error msg -> Alcotest.fail msg
-  | Ok again ->
-      check Alcotest.int "same PEs" r.C.n_pes again.C.n_pes;
-      check Alcotest.bool "still feasible" true again.C.deadlines_met
-
 let suite =
   [
     Alcotest.test_case "validator accepts clean schedules" `Slow validate_clean_schedules;
@@ -305,7 +296,6 @@ let suite =
     Alcotest.test_case "dsl file roundtrip" `Quick dsl_file_roundtrip;
     Alcotest.test_case "upgrade by reprogramming" `Quick upgrade_reprogramming_only;
     Alcotest.test_case "upgrade needs hardware" `Quick upgrade_needs_hardware_when_full;
-    Alcotest.test_case "continue_allocation no-op" `Quick continue_allocation_noop_when_complete;
   ]
 
 (* --- Image --- *)

@@ -380,6 +380,24 @@ let healthz_and_404 () =
   check Alcotest.int "unknown method" 405
     (call t "TRACE" "/healthz").Http.status
 
+(* A listener whose accept loop died must not look healthy: [accept] on
+   a socket that was never [listen]ed fails at once (EINVAL), [serve]
+   raises, and from then on [/healthz] answers 503 with the error. *)
+let healthz_reports_dead_listener () =
+  let t = mk_server () in
+  check Alcotest.int "healthy before" 200 (call t "GET" "/healthz").Http.status;
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      match Server.serve t fd with
+      | () -> Alcotest.fail "serve returned on a socket that is not listening"
+      | exception Unix.Unix_error _ -> ());
+  let resp = call t "GET" "/healthz" in
+  check Alcotest.int "dead listener" 503 resp.Http.status;
+  check Alcotest.bool "ok is false" true
+    (field resp "ok" = Some (Json.Bool false));
+  if not (Helpers.contains (str_field resp "error") "accept") then
+    Alcotest.failf "error does not name the failed call: %s" resp.Http.body
+
 let bad_submissions_rejected () =
   let t = mk_server () in
   let bad body why =
@@ -765,6 +783,8 @@ let suite =
       store_illegal_edges_rejected;
     Alcotest.test_case "store: event cursor" `Quick store_event_cursor;
     Alcotest.test_case "api: healthz and 404s" `Quick healthz_and_404;
+    Alcotest.test_case "api: healthz reports a dead listener" `Quick
+      healthz_reports_dead_listener;
     Alcotest.test_case "api: bad submissions rejected" `Quick
       bad_submissions_rejected;
     Alcotest.test_case "api: job result byte-identical" `Quick
