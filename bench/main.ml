@@ -27,9 +27,8 @@
    domains (also the CRUSADE_JOBS env var); a single synthesis always
    runs on one domain, so results never depend on it.
 
-   --no-prune disables the stage-1 tardiness lower bound and
    --no-incremental selects the reference evaluator (a full scheduler
-   run per evaluation instead of prefix replay); results are
+   run per evaluation instead of a bounded prefix replay); results are
    bit-identical either way, only the timings move.
 
    --only NAME[,NAME] restricts table2/table3 to the named examples.
@@ -217,13 +216,12 @@ type scenario_record = {
 
 let scenario_records : scenario_record list ref = ref []
 
-let write_bench_json ~prune ~incremental path =
+let write_bench_json ~incremental path =
   let entries = List.rev !bench_records in
   let oc = open_out path in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"crusade-bench-2\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"prune\": %b,\n" prune);
   Buffer.add_string b (Printf.sprintf "  \"incremental\": %b,\n" incremental);
   Buffer.add_string b "  \"entries\": [";
   List.iteri
@@ -244,11 +242,9 @@ let write_bench_json ~prune ~incremental path =
             Printf.sprintf
               ", \"portfolio_n\": %d, \"traj_launched\": %d, \
                \"traj_completed\": %d, \"traj_aborted\": %d, \
-               \"budget_aborts\": %d, \"best_traj\": %d, \
-               \"best_cost_delta\": %s"
+               \"best_traj\": %d, \"best_cost_delta\": %s"
               p.pi_n s.C.Portfolio.launched s.C.Portfolio.completed
-              s.C.Portfolio.aborted s.C.Portfolio.budget_aborts
-              p.pi_best_traj
+              s.C.Portfolio.aborted p.pi_best_traj
               (match p.pi_best_cost_delta with
               | Some d -> Printf.sprintf "%.3f" d
               | None -> "null")
@@ -325,14 +321,13 @@ let run_flow ~portfolio ~options ~flow ~cost ~met =
     | Error msg -> Error msg
   end
 
-let synth_row ~jobs ~prune ~incremental ~portfolio ~scale ~table ~example
+let synth_row ~jobs ~incremental ~portfolio ~scale ~table ~example
     spec lib reconfig =
   let options =
     {
       C.default_options with
       dynamic_reconfiguration = reconfig;
       jobs;
-      prune;
       incremental;
       trace = !trace_sink;
     }
@@ -365,14 +360,13 @@ let synth_row ~jobs ~prune ~incremental ~portfolio ~scale ~table ~example
       (r.C.n_pes, r.C.n_links, r.C.cpu_seconds, r.C.cost, r.C.deadlines_met)
   | Error msg -> failwith msg
 
-let ft_row ~jobs ~prune ~incremental ~portfolio ~scale ~table ~example
+let ft_row ~jobs ~incremental ~portfolio ~scale ~table ~example
     spec lib reconfig =
   let options =
     {
       C.default_options with
       dynamic_reconfiguration = reconfig;
       jobs;
-      prune;
       incremental;
       trace = !trace_sink;
     }
@@ -461,29 +455,27 @@ let comparison_table ~title ~paper ~scale ~only ~row_of =
        ~header rows);
   print_newline ()
 
-let table2 ~scale ~jobs ~prune ~incremental ~portfolio ~only () =
+let table2 ~scale ~jobs ~incremental ~portfolio ~only () =
   comparison_table
     ~title:"Table 2: efficacy of CRUSADE (- without / + with dynamic reconfiguration)"
     ~paper:paper_table2 ~scale ~only
     ~row_of:
-      (synth_row ~jobs ~prune ~incremental ~portfolio ~scale
-         ~table:"table2")
+      (synth_row ~jobs ~incremental ~portfolio ~scale ~table:"table2")
 
-let table3 ~scale ~jobs ~prune ~incremental ~portfolio ~only () =
+let table3 ~scale ~jobs ~incremental ~portfolio ~only () =
   comparison_table
     ~title:
       "Table 3: efficacy of CRUSADE-FT (- without / + with dynamic reconfiguration)"
     ~paper:paper_table3 ~scale ~only
     ~row_of:
-      (ft_row ~jobs ~prune ~incremental ~portfolio ~scale
-         ~table:"table3")
+      (ft_row ~jobs ~incremental ~portfolio ~scale ~table:"table3")
 
-let figures ~prune ~incremental () =
+let figures ~incremental () =
   print_endline "== Fig. 2 motivation example (small library) ==";
   let lib = Crusade_resource.Library.small () in
   let spec = Ex.figure2 lib in
   let fig_row =
-    synth_row ~jobs:1 ~prune ~incremental ~portfolio:1 ~scale:1
+    synth_row ~jobs:1 ~incremental ~portfolio:1 ~scale:1
       ~table:"figures" ~example:"figure2"
   in
   let p0, l0, _, c0, _ = fig_row spec lib false in
@@ -500,7 +492,6 @@ let figures ~prune ~incremental () =
     {
       C.default_options with
       dynamic_reconfiguration = true;
-      prune;
       incremental;
       trace = !trace_sink;
     }
@@ -752,7 +743,7 @@ let () =
   let tables =
     [ "table1"; "table2"; "table3"; "figures"; "bench"; "ablation"; "scenarios"; "all" ]
   and valued = [ "--scale"; "--jobs"; "--portfolio"; "--only"; "--bench-out"; "--trace" ]
-  and switches = [ "--no-prune"; "--no-incremental"; "--audit"; "--gate-warm" ] in
+  and switches = [ "--no-incremental"; "--audit"; "--gate-warm" ] in
   let rec parse words values on = function
     | [] -> (words, values, on)
     | flag :: v :: rest when List.mem flag valued ->
@@ -786,7 +777,6 @@ let () =
   (* 0 = one trajectory per available domain (Pool.size); resolved here
      so every row reports the concrete trajectory count. *)
   let portfolio = C.Portfolio.resolve_n (int_flag ~min:0 "--portfolio" 1) in
-  let prune = not (switch "--no-prune") in
   let incremental = not (switch "--no-incremental") in
   let only =
     match string_flag "--only" "" with
@@ -813,18 +803,18 @@ let () =
   let wants what =
     List.mem what words || List.for_all (String.equal "all") words
   in
-  if wants "figures" then figures ~prune ~incremental ();
+  if wants "figures" then figures ~incremental ();
   if wants "table1" then table1 ();
   if wants "table2" then
-    table2 ~scale ~jobs ~prune ~incremental ~portfolio ~only ();
+    table2 ~scale ~jobs ~incremental ~portfolio ~only ();
   if wants "table3" then
-    table3 ~scale ~jobs ~prune ~incremental ~portfolio ~only ();
+    table3 ~scale ~jobs ~incremental ~portfolio ~only ();
   if wants "ablation" then ablation ();
   if wants "scenarios" then
     scenarios ~scale ~only ~gate_warm:(switch "--gate-warm") ();
   if wants "bench" then bechamel_benches ();
   if !bench_records <> [] || !scenario_records <> [] then
-    write_bench_json ~prune ~incremental bench_out;
+    write_bench_json ~incremental bench_out;
   match (trace_out, !trace_sink) with
   | Some path, Some t ->
       Crusade_util.Trace.write_file t path;

@@ -147,7 +147,7 @@ let pp_portfolio_summary (stats : C.Portfolio.stats) ~best_index ~best_cost
     "portfolio    : best of %d trajectories is #%d (%d completed, %d failed, \
      %d stopped by the budget)@."
     stats.C.Portfolio.launched best_index stats.C.Portfolio.completed
-    stats.C.Portfolio.failed stats.C.Portfolio.budget_aborts;
+    stats.C.Portfolio.failed stats.C.Portfolio.aborted;
   match baseline_cost with
   | Some b ->
       Format.printf "vs trajectory 0: $%s -> $%s (saved $%s)@."

@@ -1,9 +1,9 @@
 (* crusade_fuzz — deterministic fuzz / differential harness.
 
    Seeds drive [Comm_system.generate] parameters; every seed is
-   synthesized under the full evaluator-configuration matrix
-   (prune on/off x incremental rescheduling or the reference evaluator
-   x dynamic reconfiguration on/off) and the harness asserts that
+   synthesized under the full evaluator-configuration matrix (bounded
+   incremental replay or the reference evaluator x dynamic
+   reconfiguration on/off) and the harness asserts that
 
    (a) within each reconfiguration flavor, every evaluator configuration
        produces a bit-identical result (cost, counts, verdict and the
@@ -150,19 +150,16 @@ let json_params (p : W.params) =
 
 type config = {
   reconfig : bool;
-  prune : bool;
   inc : bool;  (* incremental rescheduling; false = reference evaluator *)
   jobs : int;
 }
 
 let json_config c =
-  Printf.sprintf
-    "{\"reconfig\": %b, \"prune\": %b, \"incremental\": %b, \"jobs\": %d}"
-    c.reconfig c.prune c.inc c.jobs
+  Printf.sprintf "{\"reconfig\": %b, \"incremental\": %b, \"jobs\": %d}"
+    c.reconfig c.inc c.jobs
 
 let describe_config c =
-  Printf.sprintf "reconfig=%b prune=%b incremental=%b jobs=%d" c.reconfig
-    c.prune c.inc c.jobs
+  Printf.sprintf "reconfig=%b incremental=%b jobs=%d" c.reconfig c.inc c.jobs
 
 (* One failure is enough: the repro is minimized by construction (a
    single seed, its generator parameters and the offending
@@ -207,12 +204,7 @@ let params_of_seed seed =
   }
 
 let configs_of reconfig =
-  [
-    { reconfig; prune = true; inc = true; jobs = 1 };
-    { reconfig; prune = false; inc = true; jobs = 1 };
-    { reconfig; prune = true; inc = false; jobs = 1 };
-    { reconfig; prune = false; inc = false; jobs = 1 };
-  ]
+  [ { reconfig; inc = true; jobs = 1 }; { reconfig; inc = false; jobs = 1 } ]
 
 let flavors = [ true; false ]
 
@@ -220,7 +212,6 @@ let options_of (c : config) =
   {
     Core.default_options with
     Core.dynamic_reconfiguration = c.reconfig;
-    prune = c.prune;
     incremental = c.inc;
     jobs = c.jobs;
   }
@@ -260,7 +251,7 @@ let violation_strings vs =
    the winner must pass the end-to-end audit and must never be worse
    than trajectory 0 (the unperturbed baseline). *)
 let portfolio_checks ~out ~jobs_max ~seed ~params ~spec ~ref_sig reconfig =
-  let config jobs = { reconfig; prune = true; inc = true; jobs } in
+  let config jobs = { reconfig; inc = true; jobs } in
   let flow o = Core.synthesize ~options:o spec lib in
   let cost (r : Core.result) = r.Core.cost in
   let met (r : Core.result) = r.Core.deadlines_met in

@@ -41,7 +41,6 @@ type options = {
   merge_trials_per_pass : int;
   allow_new_pes : bool;
   jobs : int;
-  prune : bool;
   incremental : bool;
   trace : Trace.t option;
   portfolio : traj option;
@@ -58,7 +57,6 @@ let default_options =
     merge_trials_per_pass = 400;
     allow_new_pes = true;
     jobs = Pool.default_jobs ();
-    prune = true;
     incremental = true;
     trace = None;
     portfolio = None;
@@ -197,16 +195,11 @@ let n_modes arch =
    falling back to the least-tardy evaluated option.  The commit mutates
    [arch] in place.
 
-   Candidate evaluation is two-staged.  Stage 1 is the admissible bound
-   [Schedule.estimate]: a candidate whose bound is already positive
-   cannot be feasible, and when the bound paired with the candidate's
-   exact cost does not beat the incumbent fallback score either, the
-   full schedule can change nothing — the candidate is dropped without
-   timeline construction (counted against the window exactly like its
-   full evaluation would have been).  Stage 2 is the run's evaluator
-   ([Incremental.evaluate]).  Both stages preserve the committed
-   candidate bit for bit; [opts.prune] switches stage 1 off for A/B
-   runs.
+   Once a fallback of score (T, c) exists, a candidate only matters if
+   it beats that score, so its evaluation is bounded: the replay stops
+   once the tardiness exceeds T - 1 (cost at least c) or T (cheaper),
+   and the stopped verdict loses to the fallback exactly as the full one
+   would.  T >= 1, so a feasible candidate is never stopped.
 
    Candidates are trialled directly on the base architecture under the
    undo journal (checkpoint, mutate, schedule, rollback), sparing a deep
@@ -225,7 +218,6 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
       (Printf.sprintf "cluster %d (graph %d) fits no PE type" cluster.Clustering.cid
          cluster.Clustering.graph)
   else begin
-    let debug = Sys.getenv_opt "CRUSADE_DEBUG" <> None in
     let candidates = Array.of_list candidates in
     (* Portfolio perturbation: allocation tie-break jitter.  The
        candidate array arrives sorted by (delta cost, affinity desc); a
@@ -255,42 +247,21 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
       Trace.Counter.incr ctx.rollback_counter;
       Arch.rollback a ck
     in
-    (* Stage 1 on an applied candidate: [Some] iff the bound alone
-       settles it — [`Unschedulable] when the disconnection check
-       matches [run]'s failure, [`Dominated] when the bound proves the
-       candidate infeasible and no better than the incumbent score. *)
-    let stage1 incumbent trial =
-      (* Without an incumbent the bound cannot settle anything (an
-         infeasible candidate must still be evaluated to seed the
-         least-tardy fallback), so it isn't worth computing. *)
-      match incumbent with
-      | None -> None
-      | Some best_score when opts.prune -> (
-          match
-            Incremental.estimate ctx.eval ~copy_cap:opts.copy_cap spec
-              clustering trial
-          with
-          | Error _ ->
-              Incremental.note_prune ctx.eval;
-              Some `Unschedulable
-          | Ok lb ->
-              if lb > 0 && best_score <= (lb, Arch.cost trial) then begin
-                Incremental.note_prune ctx.eval;
-                Some `Dominated
-              end
-              else None)
-      | Some _ -> None
-    in
+    (* The fallback holds the candidate *index* — re-applying it to the
+       rolled-back base reproduces the winning architecture. *)
+    let best_fallback = ref None in
     (* Trials only need the verdict; [Incremental.evaluate] replays the
        prefix of the last full run and skips materializing a schedule.
        The flow schedules the finished architecture once, in [repair]. *)
     let schedule_trial trial =
-      Incremental.evaluate ctx.eval ~copy_cap:opts.copy_cap spec clustering
-        trial
+      let limit =
+        match !best_fallback with
+        | None -> max_int
+        | Some ((t, c), _) -> if Arch.cost trial >= c then t - 1 else t
+      in
+      Incremental.evaluate ctx.eval ~copy_cap:opts.copy_cap ~limit spec
+        clustering trial
     in
-    (* The fallback holds the candidate *index* — re-applying it to the
-       rolled-back base reproduces the winning architecture. *)
-    let best_fallback = ref None in
     let tried = ref 0 in
     let window_open () = !tried < opts.eval_window || !best_fallback = None in
     let exception Commit in
@@ -307,60 +278,44 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
             match Options.apply arch spec clustering cluster candidates.(!i) with
             | Error _ -> rollback arch ck
             | Ok () -> (
-                match stage1 (Option.map fst !best_fallback) arch with
-                | Some (`Unschedulable | `Dominated) ->
+                match schedule_trial arch with
+                | Error _ ->
                     rollback arch ck;
                     incr tried
-                | None -> (
-                    match schedule_trial arch with
-                    | Error _ ->
-                        rollback arch ck;
-                        incr tried
-                    | Ok v ->
-                        if v.Schedule.v_met then begin
-                          Arch.commit arch ck;
-                          raise Commit
-                        end
-                        else begin
-                          let score =
-                            (v.Schedule.v_tardiness, Arch.cost arch)
-                          in
-                          (match !best_fallback with
-                          | Some (best_score, _) when best_score <= score -> ()
-                          | _ -> best_fallback := Some (score, !i));
-                          rollback arch ck;
-                          incr tried
-                        end)));
+                | Ok v ->
+                    if v.Schedule.v_met then begin
+                      Arch.commit arch ck;
+                      raise Commit
+                    end
+                    else begin
+                      let score = (v.Schedule.v_tardiness, Arch.cost arch) in
+                      (match !best_fallback with
+                      | Some (best_score, _) when best_score <= score -> ()
+                      | _ -> best_fallback := Some (score, !i));
+                      rollback arch ck;
+                      incr tried
+                    end));
         incr i
       done;
-      if !i >= n then begin
-        match !best_fallback with
-        | Some (score, idx) ->
-            if debug then
-              Printf.eprintf
-                "fallback commit: cluster %d (graph %d) tardiness %d after %d evals\n%!"
-                cluster.Clustering.cid cluster.Clustering.graph (fst score) !tried;
-            reapply idx
-        | None ->
-            Error
-              (Printf.sprintf "no applicable allocation for cluster %d"
-                 cluster.Clustering.cid)
-      end
-      else begin
-        (* Evaluation window exhausted: settle for the least-tardy
-           option seen. *)
-        match !best_fallback with
-        | Some (_, idx) -> reapply idx
-        | None ->
-            (* The window only closes once a fallback exists
-               ([window_open]), so this branch is unreachable. *)
-            failwith
-              (Printf.sprintf
-                 "allocate_cluster: evaluation window closed with no \
-                  fallback for cluster %d (graph %d) after %d of %d \
-                  candidates"
-                 cluster.Clustering.cid cluster.Clustering.graph !tried n)
-      end
+      (* Candidates exhausted or evaluation window closed (it only closes
+         once a fallback exists): settle for the least-tardy option
+         seen. *)
+      match !best_fallback with
+      | Some ((tardiness, _), idx) ->
+          Trace.instant ctx.trace
+            ~args:
+              [
+                ("cluster", Trace.Num cluster.Clustering.cid);
+                ("graph", Trace.Num cluster.Clustering.graph);
+                ("tardiness", Trace.Num tardiness);
+                ("evaluated", Trace.Num !tried);
+              ]
+            "alloc.fallback";
+          reapply idx
+      | None ->
+          Error
+            (Printf.sprintf "no applicable allocation for cluster %d"
+               cluster.Clustering.cid)
     with
     | result -> result
     | exception Commit -> Ok ()
@@ -376,8 +331,8 @@ let run_flow ~opts ~t0 ~w0 ?basis (spec : Spec.t) (clustering : Clustering.t)
     arch ~skip =
   let ctx = make_ctx ?basis opts in
   let copy_cap = opts.copy_cap in
-  let estimate a = Incremental.estimate ctx.eval ~copy_cap spec clustering a
-  and evaluate a = Incremental.evaluate ctx.eval ~copy_cap spec clustering a
+  let evaluate ?limit a =
+    Incremental.evaluate ctx.eval ~copy_cap ?limit spec clustering a
   and schedule a = Incremental.run ctx.eval ~copy_cap spec clustering a in
   let total = Array.length clustering.Clustering.clusters in
   let allocated = Array.make total false in
@@ -489,27 +444,13 @@ let run_flow ~opts ~t0 ~w0 ?basis (spec : Spec.t) (clustering : Clustering.t)
       |> List.sort (fun a b -> compare (fst b) (fst a))
       |> List.map snd
     in
-    (* Does [trial] strictly beat the current schedule?  Stage 1 first:
-       acceptance needs strictly lower tardiness, so a bound already at
-       or above the incumbent tardiness — or a disconnection, which is
-       exactly [run]'s failure — rejects without a full schedule. *)
+    (* Does [trial] strictly beat the current schedule?  Its replay
+       stops as soon as it reaches the current tardiness. *)
     let improves (sched : Schedule.t) trial =
-      let verdict =
-        if not opts.prune then None
-        else begin
-          match estimate trial with
-          | Error _ -> Some false
-          | Ok lb -> if lb >= sched.Schedule.total_tardiness then Some false else None
-        end
-      in
-      match verdict with
-      | Some v ->
-          Incremental.note_prune ctx.eval;
-          v
-      | None -> (
-          match evaluate trial with
-          | Ok after -> after.Schedule.v_tardiness < sched.Schedule.total_tardiness
-          | Error _ -> false)
+      let current = sched.Schedule.total_tardiness in
+      match evaluate ~limit:(current - 1) trial with
+      | Ok after -> after.Schedule.v_tardiness < current
+      | Error _ -> false
     in
     (* [current] is [arch]'s schedule when the previous attempt rolled
        back (the journal restored the architecture bit for bit), [None]
@@ -572,7 +513,7 @@ let run_flow ~opts ~t0 ~w0 ?basis (spec : Spec.t) (clustering : Clustering.t)
                 Trace.span ctx.trace "merge" (fun () ->
                     Merge.optimize ~copy_cap
                       ~max_trials_per_pass:opts.merge_trials_per_pass
-                      ~prune:opts.prune ~fit_scale ~on_pass:ctx.check_budget
+                      ~fit_scale ~on_pass:ctx.check_budget
                       ?trace:ctx.trace ~eval:ctx.eval ~schedule spec clustering
                       arch)
               in
@@ -674,7 +615,6 @@ module Portfolio = struct
     completed : int;
     failed : int;
     aborted : int;
-    budget_aborts : int;
   }
 
   type trajectory_report =
@@ -766,7 +706,6 @@ module Portfolio = struct
                   completed = 1;
                   failed = 0;
                   aborted = 0;
-                  budget_aborts = 0;
                 };
             }
     else begin
@@ -818,14 +757,12 @@ module Portfolio = struct
           cells
       in
       let count p = Array.fold_left (fun a t -> if p t then a + 1 else a) 0 trajectories in
-      let aborted = count (function Aborted -> true | _ -> false) in
       let stats =
         {
           launched = n;
           completed = count (function Completed _ -> true | _ -> false);
           failed = count (function Failed _ -> true | _ -> false);
-          aborted;
-          budget_aborts = aborted;
+          aborted = count (function Aborted -> true | _ -> false);
         }
       in
       let baseline_cost =

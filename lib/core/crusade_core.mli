@@ -32,14 +32,6 @@ type options = {
           candidates on one domain, so results never depend on it.
           Defaults to the [CRUSADE_JOBS] environment variable (clamped
           to the machine), else 1. *)
-  prune : bool;
-      (** stage-1 candidate evaluation (default true): consult the
-          admissible tardiness lower bound
-          {!Crusade_sched.Schedule.estimate} before scheduling a
-          candidate, and skip the full schedule when the bound already
-          proves the candidate infeasible and no better than the
-          incumbent.  Synthesis results are bit-identical with pruning
-          on or off. *)
   incremental : bool;
       (** incremental rescheduling (default true): evaluate trial
           candidates by replaying the provably unchanged prefix of the
@@ -53,9 +45,10 @@ type options = {
       (** when set, every synthesis phase (pre-processing, clustering,
           allocation per cluster and per candidate, repair, merge
           trials, interface synthesis) and every underlying
-          [Schedule.run]/[estimate] emits span events into the sink,
-          plus counter samples of the evaluator statistics at phase
-          boundaries; [None] (the default) takes a no-op fast path that
+          [Schedule.run] emits span events into the sink, plus counter
+          samples of the evaluator statistics at phase boundaries and an
+          ["alloc.fallback"] instant per least-tardy fallback commit;
+          [None] (the default) takes a no-op fast path that
           never reads the clock, and synthesis output is bit-identical
           either way.  Export with {!Crusade_util.Trace.write_file}. *)
   portfolio : traj option;
@@ -83,7 +76,10 @@ val default_options : options
 
 type eval_stats = {
   pruned : int;
-      (** candidates rejected by the stage-1 bound without a schedule *)
+      (** evaluations given a threshold to beat (the incumbent fallback
+          in allocation, the current tardiness in repair, feasibility in
+          merge) whose replay came back above it — usually stopped
+          early; see {!Crusade_sched.Incremental.evaluate} *)
   memo_hits : int;
       (** retired, always 0: the schedule memo table is gone — each
           phase hands its schedule to the next instead of looking it
@@ -107,7 +103,7 @@ type eval_stats = {
   traj_completed : int;  (** trajectories that ran to completion *)
   traj_aborted : int;  (** trajectories stopped by the budget *)
 }
-(** Two-stage-evaluator counters of one synthesis flow.  Each flow owns
+(** Evaluator counters of one synthesis flow.  Each flow owns
     its counters (and its evaluator), so back-to-back or concurrent
     syntheses in one process report fully independent, exact statistics.
     The [traj_*] fields are zero for plain flows; {!Portfolio.annotate}
@@ -169,8 +165,7 @@ module Portfolio : sig
     launched : int;
     completed : int;
     failed : int;  (** flows that returned [Error] *)
-    aborted : int;
-    budget_aborts : int;
+    aborted : int;  (** stopped by the wall-clock budget *)
   }
 
   type trajectory_report =

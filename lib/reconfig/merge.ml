@@ -115,31 +115,25 @@ let apply_combine spec clustering arch ~pe_id ~mode_a ~mode_b =
           Arch.place_cluster arch spec clustering cluster ~pe ~mode:target)
     (Ok ()) source.Arch.m_clusters
 
-let feasible (v : Schedule.verdict) = v.Schedule.v_met
-
 let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400)
-    ?(prune = true) ?(fit_scale = (1.0, 1.0)) ?(on_pass = fun () -> ()) ?trace
+    ?(fit_scale = (1.0, 1.0)) ?(on_pass = fun () -> ()) ?trace
     ~eval ~schedule spec clustering arch =
   (* Trials never deep-copy the architecture: they mutate the live one
      under a journal checkpoint, evaluate the delta (the incremental
      engine replays the untouched prefix against its warm basis), and
      roll back unless accepted. *)
   let run_schedule a = Incremental.run eval ~copy_cap spec clustering a in
-  (* Stage-1 rejection of a trial against the base it was built from:
-     acceptance needs a feasible schedule at [base_cost] or better
-     ([strict] for device merges, non-strict for mode combines), so an
-     exact cost excess, a positive tardiness lower bound, or the bound's
-     disconnection failure (exactly [Schedule.run]'s) all reject the
-     trial without building a schedule. *)
-  let rejectable ~base_cost ~strict trial =
-    prune
-    &&
+  (* Acceptance needs a feasible schedule at [base_cost] or better
+     ([strict] for device merges, non-strict for mode combines): a trial
+     that costs too much is rejected unscheduled, and the rest are
+     replayed only until their first late instance. *)
+  let accepts ~base_cost ~strict trial =
     let trial_cost = Arch.cost trial in
-    (if strict then trial_cost >= base_cost else trial_cost > base_cost)
-    ||
-    match Incremental.estimate eval ~copy_cap spec clustering trial with
-    | Error _ -> true
-    | Ok lb -> lb > 0
+    (if strict then trial_cost < base_cost else trial_cost <= base_cost)
+    &&
+    match Incremental.evaluate eval ~copy_cap ~limit:0 spec clustering trial with
+    | Error _ -> false
+    | Ok v -> v.Schedule.v_met
   in
   let current = Arch.copy arch in
   let current_sched = ref schedule in
@@ -212,19 +206,7 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
             (fun () ->
               match apply_merge spec clustering current ~src_id ~dst_id with
               | Error _ -> false
-              | Ok () ->
-                  if rejectable ~base_cost ~strict:true current then begin
-                    Incremental.note_prune eval;
-                    false
-                  end
-                  else begin
-                    match
-                      Incremental.evaluate eval ~copy_cap spec clustering
-                        current
-                    with
-                    | Error _ -> false
-                    | Ok v -> feasible v && Arch.cost current < base_cost
-                  end)
+              | Ok () -> accepts ~base_cost ~strict:true current)
         in
         if verdict_ok then begin
           (* The verdict said feasible, so the materializing run
@@ -286,21 +268,7 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
                         ~mode_a:a_id ~mode_b:b_id
                     with
                     | Error _ -> false
-                    | Ok () ->
-                        if rejectable ~base_cost ~strict:false current
-                        then begin
-                          Incremental.note_prune eval;
-                          false
-                        end
-                        else begin
-                          match
-                            Incremental.evaluate eval ~copy_cap spec
-                              clustering current
-                          with
-                          | Error _ -> false
-                          | Ok v ->
-                              feasible v && Arch.cost current <= base_cost
-                        end
+                    | Ok () -> accepts ~base_cost ~strict:false current
                   in
                   if verdict_ok then begin
                     match run_schedule current with

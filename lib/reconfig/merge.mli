@@ -23,7 +23,6 @@ val merge_potential : Crusade_alloc.Arch.t -> int
 val optimize :
   ?copy_cap:int ->
   ?max_trials_per_pass:int ->
-  ?prune:bool ->
   ?fit_scale:float * float ->
   ?on_pass:(unit -> unit) ->
   ?trace:Crusade_util.Trace.t ->
@@ -42,10 +41,9 @@ val optimize :
     per-pass basis of [eval], the calling run's evaluator; only accepted
     trials are scheduled in full.
 
-    [prune] (default true) rejects trials whose exact cost or tardiness
-    bound already rules out acceptance, without scheduling them; the
-    accepted architectures and the [stats] counters are bit-identical
-    either way.  [trace] adds ["merge.trial"] / ["merge.combine"] spans
+    A trial that costs more than acceptance allows is rejected without
+    scheduling; the others are evaluated with [~limit:0], so a replay
+    stops at the trial's first late instance.  [trace] adds ["merge.trial"] / ["merge.combine"] spans
     and a ["merge.pass"] instant per pass.
 
     [fit_scale] (default [(1.0, 1.0)]) scales the usable PFU/pin caps

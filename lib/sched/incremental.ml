@@ -45,7 +45,6 @@ let create ?(reference = false) ?basis ?trace ?metrics () =
 let replays t = Trace.Counter.get t.replay_counter
 let rebuilds t = Trace.Counter.get t.rebuild_counter
 let prunes t = Trace.Counter.get t.prune_counter
-let note_prune t = Trace.Counter.incr t.prune_counter
 
 let run t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
     (clustering : Clustering.t) (arch : Arch.t) =
@@ -86,25 +85,30 @@ let refresh t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
    materialization, activity tracking and recording overhead.
    Freshness of the basis only affects the prefix length; the synthesis
    loops refresh it at each commit point ([refresh]), and every schedule
-   they keep comes from [run], which records too. *)
-let evaluate t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
-    (clustering : Clustering.t) (arch : Arch.t) =
-  match t.basis with
-  | Some r when Schedule.Replay.compatible r ~copy_cap spec clustering ->
-      let prep = Schedule.Replay.prepare r spec clustering arch in
-      Trace.Counter.incr t.replay_counter;
-      Trace.instant t.trace "eval.replay";
-      Schedule.Replay.replay_verdict prep
-  | Some _ | None ->
-      Result.map
-        (fun (s : Schedule.t) ->
-          {
-            Schedule.v_tardiness = s.Schedule.total_tardiness;
-            v_met = s.Schedule.deadlines_met;
-            v_scheduled = s.Schedule.scheduled_tasks;
-          })
-        (run t ~copy_cap spec clustering arch)
+   they keep comes from [run], which records too.
 
-let estimate t ?(copy_cap = Schedule.default_copy_cap) spec clustering arch =
-  Trace.span t.trace "schedule.estimate" (fun () ->
-      Schedule.estimate ~copy_cap spec clustering arch)
+   Only the replay honours [limit]: a rebuild must run to the end to be
+   a recording, and the reference evaluator is the oracle. *)
+let evaluate t ?(copy_cap = Schedule.default_copy_cap) ?(limit = max_int)
+    (spec : Spec.t) (clustering : Clustering.t) (arch : Arch.t) =
+  let verdict =
+    match t.basis with
+    | Some r when Schedule.Replay.compatible r ~copy_cap spec clustering ->
+        let prep = Schedule.Replay.prepare r spec clustering arch in
+        Trace.Counter.incr t.replay_counter;
+        Trace.instant t.trace "eval.replay";
+        Schedule.Replay.replay_verdict ~limit prep
+    | Some _ | None ->
+        Result.map
+          (fun (s : Schedule.t) ->
+            {
+              Schedule.v_tardiness = s.Schedule.total_tardiness;
+              v_met = s.Schedule.deadlines_met;
+              v_scheduled = s.Schedule.scheduled_tasks;
+            })
+          (run t ~copy_cap spec clustering arch)
+  in
+  (match verdict with
+  | Ok v when v.Schedule.v_tardiness > limit -> Trace.Counter.incr t.prune_counter
+  | Ok _ | Error _ -> ());
+  verdict

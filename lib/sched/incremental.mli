@@ -43,8 +43,7 @@ val create :
     synthesis options select it with [incremental = false]).  [?metrics]
     registers the counters as ["eval.replays"] / ["eval.rebuilds"] /
     ["eval.pruned"]; [?trace] emits a span around every underlying
-    scheduler run and {!estimate}, and an instant event per replayed
-    evaluation. *)
+    scheduler run and an instant event per replayed evaluation. *)
 
 val run :
   t ->
@@ -73,34 +72,29 @@ val refresh :
 val evaluate :
   t ->
   ?copy_cap:int ->
+  ?limit:int ->
   Crusade_taskgraph.Spec.t ->
   Crusade_cluster.Clustering.t ->
   Crusade_alloc.Arch.t ->
   (Schedule.verdict, string) result
 (** Verdict of a trial candidate, bit-identical to a fresh run's
-    [total_tardiness] / [deadlines_met] / [scheduled_tasks].  Served by a
-    prefix replay whenever the engine's recording is
-    {!Schedule.Replay.compatible} with the call — even a zero-length
-    prefix wins, because the verdict-only run skips materialization and
-    recording overhead; otherwise by a {!run}, whose recording then
-    replaces the old one. *)
+    [total_tardiness] / [deadlines_met] / [scheduled_tasks] whenever
+    that tardiness is at most [limit] (non-negative; default
+    unbounded).  Served by a prefix replay whenever the engine's
+    recording is {!Schedule.Replay.compatible} with the call — even a
+    zero-length prefix wins, because the verdict-only run skips
+    materialization and recording overhead; otherwise by a {!run},
+    whose recording then replaces the old one.
 
-val estimate :
-  t ->
-  ?copy_cap:int ->
-  Crusade_taskgraph.Spec.t ->
-  Crusade_cluster.Clustering.t ->
-  Crusade_alloc.Arch.t ->
-  (int, string) result
-(** Exactly {!Schedule.estimate} (the stage-1 bound), wrapped in a
-    ["schedule.estimate"] span when tracing is on. *)
-
-val note_prune : t -> unit
-(** Counts one candidate rejected by the stage-1 bound without a
-    schedule. *)
+    A replay stops as soon as the candidate's tardiness provably exceeds
+    [limit] and reports a tardiness above [limit] with [v_met = false]
+    (see {!Schedule.Replay.replay_verdict}), possibly [Ok] where the
+    full run fails.  A caller that rejects both [Error] and every
+    verdict above [limit] therefore decides exactly as on the full run.
+    A rebuild and the reference evaluator ignore [limit]. *)
 
 val prunes : t -> int
-(** Candidates rejected by the stage-1 bound ({!note_prune}). *)
+(** Evaluations that returned a tardiness above their [limit]. *)
 
 val replays : t -> int
 (** Evaluations served by prefix replay. *)

@@ -498,10 +498,17 @@ let sort_stride stride key_off (a : int array) =
    the resource timelines from the recorded reservations and decrementing
    indegrees — then runs the normal algorithm on the remainder.  The
    caller guarantees (see [replay_cut]) that those [s] steps are exactly
-   what a full run against [arch] would have scheduled. *)
+   what a full run against [arch] would have scheduled.
+
+   [late] is the running tardiness: every instance's lateness is final
+   once it is scheduled, and the sum only grows, so the run stops as
+   soon as it exceeds [limit] — the candidate then provably loses to
+   whatever threshold the caller holds.  A stopped run reports its
+   partial sum and step count; the recording and materializing callers
+   leave it unbounded. *)
 let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
-    (spec : Spec.t) (clustering : Clustering.t) (arch : Arch.t) ~site_pe ~site_mode
-    ~(levels : int array) =
+    ?(limit = max_int) (spec : Spec.t) (clustering : Clustering.t) (arch : Arch.t)
+    ~site_pe ~site_mode ~(levels : int array) =
   let ss = spec_static spec in
   let ist = inst_static ss ~copy_cap in
   let n_graphs = Spec.n_graphs spec in
@@ -579,7 +586,7 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
           c_act = Ibuf.create ();
         }
   in
-  let step = ref 0 in
+  let step = ref 0 and late = ref 0 in
   let note_activity graph s f =
     if track_activity && f > s then begin
       graph_activity.(graph) <- (s, f) :: graph_activity.(graph);
@@ -615,6 +622,7 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
         let idx = r.r_pop_inst.(k) in
         starts.(idx) <- r.r_pop_start.(k);
         finishes.(idx) <- r.r_pop_finish.(k);
+        late := !late + max 0 (r.r_pop_finish.(k) - r.r_pop_deadline.(k));
         let tid = i_task.(idx) and copy = i_copy.(idx) in
         List.iter
           (fun (e : Edge.t) ->
@@ -904,6 +912,7 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
     in
     starts.(idx) <- start;
     finishes.(idx) <- finish;
+    late := !late + max 0 (finish - i_deadline.(idx));
     note_activity graph_of.(tid) start finish;
     (match recorder with
     | Some rc ->
@@ -924,22 +933,14 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
       spec.succs.(tid)
   in
   match
-    while !heap_n > 0 do
+    while !heap_n > 0 && !late <= limit do
       schedule_instance (hpop ())
     done
   with
   | exception Disconnected (a, b) ->
       Error (Printf.sprintf "no link between PE %d and PE %d" a b)
   | () ->
-      (* Deadline verification over the explicit instances. *)
-      let tardiness = ref 0 in
-      for idx = 0 to total - 1 do
-        if placed i_task.(idx) && finishes.(idx) >= 0 then
-          tardiness := !tardiness + max 0 (finishes.(idx) - i_deadline.(idx))
-      done;
-      let verdict =
-        { v_tardiness = !tardiness; v_met = !tardiness = 0; v_scheduled = !step }
-      in
+      let verdict = { v_tardiness = !late; v_met = !late = 0; v_scheduled = !step } in
       let sched =
         if not materialize then None
         else begin
@@ -984,7 +985,7 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
               instances;
               hyperperiod = Spec.hyperperiod spec;
               deadlines_met = verdict.v_met;
-              total_tardiness = !tardiness;
+              total_tardiness = !late;
               graph_windows;
               mode_switches;
               scheduled_tasks = !step;
@@ -1291,11 +1292,11 @@ module Replay = struct
 
   let cut p = p.p_cut
 
-  let replay_verdict p =
+  let replay_verdict ?limit p =
     match
       exec ~copy_cap:p.p_recording.r_copy_cap ~materialize:false ~record:false
-        ~replay:(Some (p.p_recording, p.p_cut)) p.p_spec p.p_clustering p.p_arch
-        ~site_pe:p.p_site_pe ~site_mode:p.p_site_mode ~levels:p.p_levels
+        ~replay:(Some (p.p_recording, p.p_cut)) ?limit p.p_spec p.p_clustering
+        p.p_arch ~site_pe:p.p_site_pe ~site_mode:p.p_site_mode ~levels:p.p_levels
     with
     | Error _ as e -> e
     | Ok out -> Ok out.x_verdict
@@ -1326,8 +1327,8 @@ module Replay = struct
 end
 
 
-(* Stage-1 evaluator: an admissible lower bound on [run]'s total
-   tardiness, O(V + E + I log I) with no timeline construction.
+(* An admissible lower bound on [run]'s total tardiness,
+   O(V + E + I log I) with no timeline construction.
 
    Two bounds, both provable against the list scheduler above, combined
    by [max]:
@@ -1362,9 +1363,8 @@ end
 let estimate ?(copy_cap = default_copy_cap) (spec : Spec.t)
     (clustering : Clustering.t) (arch : Arch.t) =
   let n_tasks = Spec.n_tasks spec in
-  (* Placement as int arrays: the estimator runs once per pruned
-     candidate, and per-task placement-map probes plus the option boxes
-     they allocated were a measurable share of its cost. *)
+  (* Placement as int arrays: per-task placement-map probes plus the
+     option boxes they allocated were a measurable share of its cost. *)
   let site_pe, _ = site_arrays spec clustering arch in
   (* Exact disconnection check: [run] computes the ready time of every
      placed instance, so it raises iff some placed-placed edge crosses

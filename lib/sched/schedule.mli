@@ -60,16 +60,16 @@ val estimate :
   Crusade_cluster.Clustering.t ->
   Crusade_alloc.Arch.t ->
   (int, string) result
-(** Stage-1 evaluator: an admissible lower bound on {!run}'s
-    [total_tardiness] for the same placement, in O(V + E + I log I)
-    without building any timeline.  Guarantees, for every architecture:
-    - [estimate] never exceeds [run]'s total tardiness, so a positive
-      bound proves the placement misses deadlines and a bound that
-      already loses to the incumbent proves the candidate cannot win;
+(** An admissible lower bound on {!run}'s [total_tardiness] for the
+    same placement, in O(V + E + I log I) without building any
+    timeline.  Guarantees, for every architecture:
+    - [estimate] never exceeds [run]'s total tardiness;
     - [estimate] is [Error] exactly when [run] is (two communicating
       placed tasks on unconnected PEs).
-    Candidate evaluation consults it before paying for a full schedule;
-    see DESIGN.md "Two-stage candidate evaluation". *)
+    The synthesis flow no longer calls it: candidate evaluation stops
+    the replay itself once a candidate loses ({!Replay.replay_verdict}'s
+    [limit]; DESIGN.md "Bounded replay").  Kept for the per-call timing
+    probe of the benchmark. *)
 
 val priorities :
   Crusade_taskgraph.Spec.t ->
@@ -148,11 +148,19 @@ module Replay : sig
   (** Steps of the recording that will be replayed verbatim — equals
       {!steps} when the candidate provably schedules identically. *)
 
-  val replay_verdict : prep -> (verdict, string) result
+  val replay_verdict : ?limit:int -> prep -> (verdict, string) result
   (** Replays the prefix and schedules the remainder, returning only the
       verdict (no instance records, activity windows or mode-switch
       counts are materialized).  Bit-identical to the verdict of a fresh
-      {!run} against the same architecture. *)
+      {!run} against the same architecture whenever that run's
+      tardiness is at most [limit] (non-negative; default unbounded).
+      Otherwise the
+      replay may stop as soon as the tardiness of the instances
+      scheduled so far exceeds [limit]: it then reports that partial
+      tardiness (above [limit], at most the full run's) with
+      [v_met = false] and the steps taken so far, and returns [Ok] even
+      where the full run would have failed on a disconnected edge it
+      never reached. *)
 
   val replay_run : prep -> (t, string) result
   (** Like {!replay_verdict} but materializes the full schedule;

@@ -1,7 +1,8 @@
-(* The two-stage candidate evaluator: stage-1 admissibility of
-   [Schedule.estimate], the architecture undo journal, per-run evaluator
-   counters, and end-to-end determinism of synthesis with pruning on
-   versus off. *)
+(* The candidate evaluator: admissibility of [Schedule.estimate] (no
+   longer called by the flow, kept for the benchmark's timing probe),
+   the architecture undo journal, per-run evaluator counters, and
+   end-to-end determinism of synthesis under the bounded incremental
+   evaluator versus the reference evaluator. *)
 
 module C = Crusade.Crusade_core
 module Spec = Crusade_taskgraph.Spec
@@ -60,8 +61,9 @@ let random_placement rng spec clustering lib =
     clustering.Clustering.clusters;
   arch
 
-(* The stage-1 contract: the bound never exceeds the scheduler's true
-   total tardiness, and it fails exactly when the scheduler fails. *)
+(* The estimator's contract: the bound never exceeds the scheduler's
+   true total tardiness, and it fails exactly when the scheduler
+   fails. *)
 let estimate_admissible =
   QCheck.Test.make ~name:"estimate is an admissible tardiness bound" ~count:25
     QCheck.(int_range 1 1_000_000)
@@ -101,7 +103,7 @@ let estimate_matches_disconnection () =
       place t0 cpu_a;
       place t1 cpu_b
   | _ -> Alcotest.fail "expected two tasks");
-  (* Two communicating placed tasks, no link: both stages must refuse. *)
+  (* Two communicating placed tasks, no link: both must refuse. *)
   (match (Schedule.estimate spec clustering arch, Schedule.run spec clustering arch) with
   | Error a, Error b -> check Alcotest.string "same failure" b a
   | _ -> Alcotest.fail "both evaluators must report the disconnection");
@@ -242,19 +244,22 @@ let result_signature (r : C.result) =
     arch_signature r.C.clustering r.C.arch,
     sched )
 
-let synthesize_with ~prune spec lib =
-  let options = { C.default_options with prune } in
+let synthesize_with ~incremental spec lib =
+  let options = { C.default_options with incremental } in
   match C.synthesize ~options spec lib with
   | Ok r -> r
   | Error msg -> Alcotest.failf "synthesis failed: %s" msg
 
+(* The bounded replay stops losing candidates early; the reference
+   evaluator schedules every candidate in full, so any decision the
+   bound got wrong shows up as a different result. *)
 let determinism_on_spec name spec lib =
-  let baseline = synthesize_with ~prune:false spec lib in
-  let full = synthesize_with ~prune:true spec lib in
+  let reference = synthesize_with ~incremental:false spec lib in
+  let bounded = synthesize_with ~incremental:true spec lib in
   check Alcotest.bool
-    (name ^ ": prune on = prune off")
+    (name ^ ": bounded incremental = reference")
     true
-    (result_signature full = result_signature baseline)
+    (result_signature bounded = result_signature reference)
 
 let determinism_figure2 () =
   determinism_on_spec "figure2" (Examples.figure2 Helpers.small_lib) Helpers.small_lib
@@ -278,7 +283,7 @@ let determinism_generated () =
 let eval_stats_per_run () =
   let spec = W.generate Helpers.stock_lib (W.scaled (W.preset "A1TR") 16.0) in
   let stats_of () =
-    let r = synthesize_with ~prune:true spec Helpers.stock_lib in
+    let r = synthesize_with ~incremental:true spec Helpers.stock_lib in
     (result_signature r, r.C.eval_stats)
   in
   let sig1, s1 = stats_of () in
@@ -298,7 +303,7 @@ let eval_stats_per_run () =
     ];
   (* A fresh evaluator holds no recording from another run: its first
      evaluation is a rebuild, not a replay. *)
-  let r = synthesize_with ~prune:true spec Helpers.stock_lib in
+  let r = synthesize_with ~incremental:true spec Helpers.stock_lib in
   let fresh = Incremental.create () in
   (match Incremental.evaluate fresh spec r.C.clustering r.C.arch with
   | Ok _ -> ()
@@ -370,7 +375,7 @@ let trace_covers_phases () =
   match C.synthesize ~options spec Helpers.small_lib with
   | Error msg -> Alcotest.failf "traced synthesis failed: %s" msg
   | Ok r ->
-      let plain = synthesize_with ~prune:true spec Helpers.small_lib in
+      let plain = synthesize_with ~incremental:true spec Helpers.small_lib in
       check Alcotest.bool "tracing does not perturb synthesis" true
         (result_signature r = result_signature plain);
       let json = Trace.to_json trace in
@@ -397,6 +402,54 @@ let trace_covers_phases () =
           "eval_stats";
         ]
 
+(* Fallback commits are traced.  Each task of this chain runs nine
+   times past the graph's deadline on every PE, so no candidate is ever
+   feasible and each allocation (one in the constructive pass, one in
+   repair) settles for its least-tardy option; every such commit must
+   leave an "alloc.fallback" instant naming the cluster, its graph, the
+   tardiness accepted and the candidates evaluated.  The default window
+   sees every candidate, a window of one closes after the first. *)
+let fallback_commits_traced () =
+  let module Trace = Crusade_util.Trace in
+  let lib = Helpers.small_lib in
+  let spec, _ = Helpers.sw_chain ~lib ~exec:9_000 ~deadline:1_000 2 in
+  List.iter
+    (fun eval_window ->
+      let what = Printf.sprintf "window %d" eval_window in
+      let trace = Trace.create () in
+      let fallbacks = ref [] in
+      Trace.on_event trace (fun v ->
+          if v.Trace.v_phase = "i" && v.Trace.v_name = "alloc.fallback" then
+            fallbacks := v.Trace.v_args :: !fallbacks);
+      let options = { C.default_options with C.eval_window } in
+      let plain =
+        match C.synthesize ~options spec lib with
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "%s: synthesis failed: %s" what msg
+      in
+      match C.synthesize ~options:{ options with C.trace = Some trace } spec lib with
+      | Error msg -> Alcotest.failf "%s: traced synthesis failed: %s" what msg
+      | Ok r ->
+          check Alcotest.bool (what ^ ": tracing does not perturb synthesis") true
+            (result_signature r = result_signature plain);
+          check Alcotest.int (what ^ ": one instant per fallback commit") 2
+            (List.length !fallbacks);
+          List.iter
+            (fun args ->
+              check
+                Alcotest.(list string)
+                (what ^ ": instant args")
+                [ "cluster"; "graph"; "tardiness"; "evaluated" ]
+                (List.map fst args);
+              match (List.assoc "tardiness" args, List.assoc "evaluated" args) with
+              | Trace.Num tardiness, Trace.Num evaluated ->
+                  check Alcotest.bool (what ^ ": a tardy commit") true (tardiness > 0);
+                  check Alcotest.bool (what ^ ": after evaluating candidates") true
+                    (evaluated > 0 && (eval_window > 1 || evaluated = 1))
+              | _ -> Alcotest.failf "%s: tardiness and evaluated must be numbers" what)
+            !fallbacks)
+    [ C.default_options.C.eval_window; 1 ]
+
 let suite =
   [
     qcheck estimate_admissible;
@@ -413,4 +466,6 @@ let suite =
     Alcotest.test_case "results carry their own schedule" `Slow
       schedules_are_fresh;
     Alcotest.test_case "trace covers every phase" `Quick trace_covers_phases;
+    Alcotest.test_case "fallback commits are traced" `Quick
+      fallback_commits_traced;
   ]

@@ -4,11 +4,13 @@
    perturbs the placement (the way candidate evaluation does: one
    cluster moves), and asserts that replaying the recording against the
    perturbed architecture is bit-identical — schedule and verdict — to
-   a fresh [Schedule.run] on it.  Micro-specs pin the structurally
-   interesting cases (single PE, a shared link, a mode-window boundary,
-   the copy-cap extrapolation edge); a qcheck property sweeps random
-   workloads under random single-cluster perturbations.  A last test
-   pins the engine's single recording slot. *)
+   a fresh [Schedule.run] on it, and that a bounded replay agrees
+   wherever its limit lets it and reports a loss where it stops.
+   Micro-specs pin the structurally interesting cases (single PE, a
+   shared link, a mode-window boundary, the copy-cap extrapolation
+   edge); a qcheck property sweeps random workloads under random
+   single-cluster perturbations.  A last test pins the engine's single
+   recording slot. *)
 
 module Spec = Crusade_taskgraph.Spec
 module Clustering = Crusade_cluster.Clustering
@@ -77,12 +79,20 @@ let scheds_equal (a : Schedule.t) (b : Schedule.t) =
 
 (* The exactness check: replay of [recording] against [arch] must agree
    bit-for-bit with a fresh run — both the full schedule and the
-   verdict-only path — including agreeing on failure. *)
+   verdict-only path — including agreeing on failure.  The bounded
+   verdict must agree too whenever the fresh tardiness T is within its
+   limit, and otherwise report a loss: not met, with a tardiness in
+   (limit, T].  When the fresh run fails, a bounded replay either fails
+   the same way or stops above its limit before reaching the failure. *)
 let assert_replay_exact ?(copy_cap = Schedule.default_copy_cap) name spec
     clustering arch recording =
   if not (Schedule.Replay.compatible recording ~copy_cap spec clustering) then
     Alcotest.failf "%s: recording not compatible with its own inputs" name;
   let prep = Schedule.Replay.prepare recording spec clustering arch in
+  let bounded limit = Schedule.Replay.replay_verdict ~limit prep in
+  let stopped limit (v : Schedule.verdict) =
+    (not v.Schedule.v_met) && v.Schedule.v_tardiness > limit
+  in
   match
     ( Schedule.run ~copy_cap spec clustering arch,
       Schedule.Replay.replay_run prep,
@@ -91,13 +101,37 @@ let assert_replay_exact ?(copy_cap = Schedule.default_copy_cap) name spec
   | Ok fresh, Ok replayed, Ok verdict ->
       check Alcotest.bool (name ^ ": schedule bit-identical") true
         (scheds_equal fresh replayed);
-      check Alcotest.bool (name ^ ": verdict bit-identical") true
-        (verdict.Schedule.v_tardiness = fresh.Schedule.total_tardiness
-        && verdict.Schedule.v_met = fresh.Schedule.deadlines_met
-        && verdict.Schedule.v_scheduled = fresh.Schedule.scheduled_tasks)
+      let exact (v : Schedule.verdict) =
+        v.Schedule.v_tardiness = fresh.Schedule.total_tardiness
+        && v.Schedule.v_met = fresh.Schedule.deadlines_met
+        && v.Schedule.v_scheduled = fresh.Schedule.scheduled_tasks
+      in
+      check Alcotest.bool (name ^ ": verdict bit-identical") true (exact verdict);
+      let t = fresh.Schedule.total_tardiness in
+      List.iter
+        (fun limit ->
+          let what = Printf.sprintf "%s: limit %d, tardiness %d" name limit t in
+          match bounded limit with
+          | Error msg -> Alcotest.failf "%s: bounded replay failed: %s" what msg
+          | Ok v when t <= limit ->
+              check Alcotest.bool (what ^ ": verdict bit-identical") true (exact v)
+          | Ok v ->
+              check Alcotest.bool (what ^ ": reported as a loss") true
+                (stopped limit v && v.Schedule.v_tardiness <= t))
+        (List.filter (fun limit -> limit >= 0) [ 0; t / 2; t - 1; t ])
   | Error e_fresh, Error e_run, Error e_verdict ->
       check Alcotest.string (name ^ ": replay_run fails identically") e_fresh e_run;
-      check Alcotest.string (name ^ ": replay_verdict fails identically") e_fresh e_verdict
+      check Alcotest.string (name ^ ": replay_verdict fails identically") e_fresh e_verdict;
+      List.iter
+        (fun limit ->
+          match bounded limit with
+          | Error e ->
+              check Alcotest.string (name ^ ": bounded replay fails identically")
+                e_fresh e
+          | Ok v ->
+              check Alcotest.bool (name ^ ": bounded replay stops above its limit")
+                true (stopped limit v))
+        [ 0; 1 ]
   | Ok _, _, _ | Error _, _, _ ->
       Alcotest.failf "%s: replay and fresh run disagree on success" name
 
@@ -225,17 +259,14 @@ let replay_exact_under_perturbation =
       let nc = Array.length clustering.Clustering.clusters in
       (* A handful of successive moves against one recording: the diff
          is against the snapshot, so later moves exercise wider cuts. *)
-      List.for_all
-        (fun (_ : int) ->
+      List.iter
+        (fun move ->
           move_cluster spec clustering arch (Random.State.int rng nc);
-          let prep = Schedule.Replay.prepare recording spec clustering arch in
-          match
-            (Schedule.run spec clustering arch, Schedule.Replay.replay_run prep)
-          with
-          | Ok fresh, Ok replayed -> scheds_equal fresh replayed
-          | Error a, Error b -> a = b
-          | Ok _, Error _ | Error _, Ok _ -> false)
-        [ 1; 2; 3 ])
+          assert_replay_exact
+            (Printf.sprintf "seed %d move %d" seed move)
+            spec clustering arch recording)
+        [ 1; 2; 3 ];
+      true)
 
 (* One recording per engine: a basis handed to [create] serves the
    first evaluation by replay; an evaluation under a clustering the

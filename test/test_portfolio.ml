@@ -123,13 +123,7 @@ let trajectory_options () =
 
 let annotate () =
   let s =
-    {
-      C.Portfolio.launched = 4;
-      completed = 2;
-      failed = 0;
-      aborted = 2;
-      budget_aborts = 2;
-    }
+    { C.Portfolio.launched = 4; completed = 2; failed = 0; aborted = 2 }
   in
   let spec = W.generate stock (params 2 30) in
   let r = Helpers.synthesize ~lib:stock spec in
