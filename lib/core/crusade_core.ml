@@ -205,7 +205,13 @@ let n_modes arch =
    undo journal (checkpoint, mutate, schedule, rollback), sparing a deep
    [Arch.copy] per candidate; a least-tardy fallback is re-applied to
    the pristine base, which reproduces the trialled architecture exactly
-   because rollback restores the base bit for bit. *)
+   because rollback restores the base bit for bit.
+
+   The committed candidate's evaluation recorded the steps it scheduled,
+   and the evaluator adopts that recording as the next cluster's basis:
+   a commit costs a linear splice, not a scheduler run.  A fallback's
+   recording is held beside its index and adopted after the re-apply,
+   when the architecture is again the one it was evaluated on. *)
 let allocate_cluster ~opts ~ctx spec clustering arch cluster =
   let candidates =
     Options.enumerate arch spec clustering cluster
@@ -248,8 +254,10 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
       Arch.rollback a ck
     in
     (* The fallback holds the candidate *index* — re-applying it to the
-       rolled-back base reproduces the winning architecture. *)
+       rolled-back base reproduces the winning architecture — and the
+       tail its replay recorded, if any. *)
     let best_fallback = ref None in
+    let adopt = Option.iter (Incremental.adopt ctx.eval) in
     (* Trials only need the verdict; [Incremental.evaluate] replays the
        prefix of the last full run and skips materializing a schedule.
        The flow schedules the finished architecture once, in [repair]. *)
@@ -257,7 +265,7 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
       let limit =
         match !best_fallback with
         | None -> max_int
-        | Some ((t, c), _) -> if Arch.cost trial >= c then t - 1 else t
+        | Some ((t, c), _, _) -> if Arch.cost trial >= c then t - 1 else t
       in
       Incremental.evaluate ctx.eval ~copy_cap:opts.copy_cap ~limit spec
         clustering trial
@@ -285,13 +293,14 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
                 | Ok v ->
                     if v.Schedule.v_met then begin
                       Arch.commit arch ck;
+                      adopt (Incremental.take ctx.eval);
                       raise Commit
                     end
                     else begin
                       let score = (v.Schedule.v_tardiness, Arch.cost arch) in
                       (match !best_fallback with
-                      | Some (best_score, _) when best_score <= score -> ()
-                      | _ -> best_fallback := Some (score, !i));
+                      | Some (best_score, _, _) when best_score <= score -> ()
+                      | _ -> best_fallback := Some (score, !i, Incremental.take ctx.eval));
                       rollback arch ck;
                       incr tried
                     end));
@@ -301,7 +310,7 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
          once a fallback exists): settle for the least-tardy option
          seen. *)
       match !best_fallback with
-      | Some ((tardiness, _), idx) ->
+      | Some ((tardiness, _), idx, tail) ->
           Trace.instant ctx.trace
             ~args:
               [
@@ -311,7 +320,7 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
                 ("evaluated", Trace.Num !tried);
               ]
             "alloc.fallback";
-          reapply idx
+          Result.map (fun () -> adopt tail) (reapply idx)
       | None ->
           Error
             (Printf.sprintf "no applicable allocation for cluster %d"
@@ -393,12 +402,6 @@ let run_flow ~opts ~t0 ~w0 ?basis (spec : Spec.t) (clustering : Clustering.t)
       with
       | Error _ as e -> e
       | Ok () ->
-          (* Refresh the incremental engine's recording on the committed
-             architecture: the next cluster's trials then diff against a
-             basis that differs only by their own placement, maximizing
-             the replayable prefix.  One record-only run per cluster
-             against dozens of trials served by replay. *)
-          Incremental.refresh ctx.eval ~copy_cap spec clustering arch;
           allocated.(cluster.cid) <- true;
           ctx.check_budget ();
           allocate_all (remaining - 1)

@@ -15,11 +15,17 @@ module Trace = Crusade_util.Trace
    One engine serves one synthesis run, and every call of a run carries
    the same (spec, clustering, copy_cap) key, so a single slot holds
    every basis the run can use.  A call under another key rebuilds and
-   takes the slot over. *)
+   takes the slot over.
+
+   A replay records the steps it list-schedules, so the candidate a
+   caller commits already has its recording: [adopt] splices it onto
+   the basis prefix instead of scheduling the committed architecture
+   again.  Only the tails a caller adopts are spliced. *)
 
 type t = {
   reference : bool;  (* plain [Schedule.run] per call, nothing recorded *)
   mutable basis : Schedule.Replay.recording option;
+  mutable pending : Schedule.Replay.tail option;  (* the last replay's tail *)
   trace : Trace.t option;
   replay_counter : Trace.Counter.t;
   rebuild_counter : Trace.Counter.t;
@@ -36,6 +42,7 @@ let create ?(reference = false) ?basis ?trace ?metrics () =
     reference;
     (* A reference evaluator never replays, so it holds no basis. *)
     basis = (if reference then None else basis);
+    pending = None;
     trace;
     replay_counter = counter "eval.replays";
     rebuild_counter = counter "eval.rebuilds";
@@ -63,41 +70,32 @@ let run t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
         Ok sched
   end
 
-(* Refresh the replay basis without materializing a schedule: the
-   synthesis loops call this at commit points, where the schedule
-   itself would be discarded anyway. *)
-let refresh t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
-    (clustering : Clustering.t) (arch : Arch.t) =
-  if not t.reference then begin
-    Trace.Counter.incr t.rebuild_counter;
-    match
-      Trace.span t.trace "schedule.run" (fun () ->
-          Schedule.Replay.record_only ~copy_cap spec clustering arch)
-    with
-    | Error _ -> ()  (* keep the previous recording *)
-    | Ok recording -> t.basis <- Some recording
-  end
-
 (* A recording never stops being a valid diff basis (it is immutable and
    the diff is computed against the candidate), so evaluation always
    replays when the slot holds a compatible recording: even a
    zero-length prefix is a win, because the verdict-only run skips
-   materialization, activity tracking and recording overhead.
-   Freshness of the basis only affects the prefix length; the synthesis
-   loops refresh it at each commit point ([refresh]), and every schedule
-   they keep comes from [run], which records too.
+   materialization.  Freshness of the basis only affects the prefix
+   length; the allocation loop adopts each committed candidate's
+   replayed tail ([adopt]), and every schedule a run keeps comes from
+   [run], which records too.  A candidate that [run] evaluated leaves no
+   tail: its recording already is the basis.
 
    Only the replay honours [limit]: a rebuild must run to the end to be
    a recording, and the reference evaluator is the oracle. *)
 let evaluate t ?(copy_cap = Schedule.default_copy_cap) ?(limit = max_int)
     (spec : Spec.t) (clustering : Clustering.t) (arch : Arch.t) =
+  t.pending <- None;
   let verdict =
     match t.basis with
-    | Some r when Schedule.Replay.compatible r ~copy_cap spec clustering ->
+    | Some r when Schedule.Replay.compatible r ~copy_cap spec clustering -> (
         let prep = Schedule.Replay.prepare r spec clustering arch in
         Trace.Counter.incr t.replay_counter;
         Trace.instant t.trace "eval.replay";
-        Schedule.Replay.replay_verdict ~limit prep
+        match Schedule.Replay.replay_tail ~limit prep with
+        | Error _ as e -> e
+        | Ok (v, tail) ->
+            t.pending <- tail;
+            Ok v)
     | Some _ | None ->
         Result.map
           (fun (s : Schedule.t) ->
@@ -112,3 +110,10 @@ let evaluate t ?(copy_cap = Schedule.default_copy_cap) ?(limit = max_int)
   | Ok v when v.Schedule.v_tardiness > limit -> Trace.Counter.incr t.prune_counter
   | Ok _ | Error _ -> ());
   verdict
+
+let take t =
+  let p = t.pending in
+  t.pending <- None;
+  p
+
+let adopt t tail = t.basis <- Some (Schedule.Replay.splice tail)

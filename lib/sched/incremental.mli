@@ -16,6 +16,12 @@
     downstream, and cuts the prefix before the first pop any marked
     instance could influence).
 
+    A replay also records the steps it list-schedules, so a candidate
+    the caller commits already has its recording: {!take} it after the
+    evaluation and {!adopt} it as the next basis, which splices it onto
+    the replayed prefix in linear time instead of scheduling the
+    committed architecture again.
+
     One engine is scoped to a synthesis run and owns its counters, so
     back-to-back or concurrent runs report independent statistics.  It
     never caches schedules: a caller that needs the schedule of an
@@ -52,22 +58,10 @@ val run :
   Crusade_cluster.Clustering.t ->
   Crusade_alloc.Arch.t ->
   (Schedule.t, string) result
-(** A full scheduler run, bit-identical to {!Schedule.run}, that also
-    refreshes the engine's recording (kept unchanged on [Error]).  For
+(** A full scheduler run, bit-identical to {!Schedule.run}, whose
+    recording replaces the engine's (kept unchanged on [Error]).  For
     the schedules a synthesis keeps: a repaired architecture, an
     accepted merge, the chosen interface. *)
-
-val refresh :
-  t ->
-  ?copy_cap:int ->
-  Crusade_taskgraph.Spec.t ->
-  Crusade_cluster.Clustering.t ->
-  Crusade_alloc.Arch.t ->
-  unit
-(** Refreshes the recording without materializing a schedule (cheaper
-    than {!run}; the recording is kept unchanged if the run fails).
-    For commit points where the schedule would be discarded.  A no-op in
-    reference mode. *)
 
 val evaluate :
   t ->
@@ -91,7 +85,26 @@ val evaluate :
     (see {!Schedule.Replay.replay_verdict}), possibly [Ok] where the
     full run fails.  A caller that rejects both [Error] and every
     verdict above [limit] therefore decides exactly as on the full run.
-    A rebuild and the reference evaluator ignore [limit]. *)
+    A rebuild and the reference evaluator ignore [limit].
+
+    A replay that ran to the end leaves the tail it recorded pending
+    for {!take}.  A replay that [limit] stopped, a failed evaluation and
+    the reference evaluator leave none, and so does a {!run}: its
+    recording already is the basis. *)
+
+val take : t -> Schedule.Replay.tail option
+(** Removes and returns the last {!evaluate}'s pending tail, to adopt
+    now or to hold beside a fallback candidate.  Always [None] in
+    reference mode. *)
+
+val adopt : t -> Schedule.Replay.tail -> unit
+(** Makes the tail's recording the engine's basis by splicing it onto
+    the prefix it replayed ({!Schedule.Replay.splice}).  The splice
+    reads PE types, mode boot times and links from the architecture the
+    candidate was evaluated on, so adopt while that architecture is in
+    the evaluated state: right after a commit, or after re-applying the
+    same option to the rolled-back base (a rollback restores the base
+    bit for bit).  Not a scheduler run: {!rebuilds} does not count it. *)
 
 val prunes : t -> int
 (** Evaluations that returned a tardiness above their [limit]. *)
@@ -100,5 +113,6 @@ val replays : t -> int
 (** Evaluations served by prefix replay. *)
 
 val rebuilds : t -> int
-(** Full scheduler runs that refreshed the recording ({!run},
-    {!refresh}, and {!evaluate}'s fallback). *)
+(** Full scheduler runs that replaced the recording: every {!run}, and
+    each {!evaluate} that found no compatible basis.  An {!adopt}ed
+    splice is not one. *)

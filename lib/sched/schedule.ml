@@ -424,10 +424,12 @@ type verdict = { v_tardiness : int; v_met : bool; v_scheduled : int }
    with per-step deadlines and start/finish times, the exact resource
    reservations each step committed (CPU chunks and link transfers as
    (start, stop, step) triples sorted by start; PPE windows as
-   (mode, start, stop, step) quadruples in final window order), the
-   activity events, and a snapshot of everything the scheduler read from
-   the architecture — enough for a later candidate to be diffed against
-   this base.  Immutable once built; shared read-only across domains. *)
+   (mode, start, stop, step) quadruples in final window order), and a
+   snapshot of everything the scheduler read from the architecture —
+   enough for a later candidate to be diffed against this base.  A
+   step's activity is its execution window plus the link transfers
+   logged under its step, so no separate activity log is kept.
+   Immutable once built; shared read-only across domains. *)
 type recording = {
   r_spec : Spec.t;
   r_clustering : Clustering.t;
@@ -441,7 +443,6 @@ type recording = {
   r_link_logs : int array array;  (* per link: (start, stop, step)* by start *)
   r_ppe_logs : int array array;
       (* per PE: (mode, start, stop, step)* in final window order *)
-  r_act : int array;  (* (graph, start, stop, step)* in emission order *)
   r_site_pe : int array;
   r_site_mode : int array;
   r_levels : int array;
@@ -451,44 +452,111 @@ type recording = {
   r_link_attached : int array array;  (* per link: sorted attached PEs *)
 }
 
+(* A run's own steps: the instance of each (its deadline, start and
+   finish are read from the run's arrays, and a PPE window is its
+   execution window in the task's mode), and the CPU chunks and link
+   transfers it reserved, in commit order. *)
 type recorder = {
-  c_pop_inst : Ibuf.t;
-  c_pop_deadline : Ibuf.t;
-  c_pop_start : Ibuf.t;
-  c_pop_finish : Ibuf.t;
+  c_pops : int array;  (* sized for every placed instance past the cut *)
   c_cpu : Ibuf.t array;
   c_link : Ibuf.t array;
-  c_ppe : Ibuf.t array;
-  c_act : Ibuf.t;
+}
+
+(* What a recording run list-scheduled itself: steps [t_cut] to
+   [t_steps - 1], on top of the first [t_cut] steps of [t_base] that it
+   replayed ([t_base = None] and [t_cut = 0] for a full run), plus the
+   placement and levels it ran against and its per-instance starts and
+   finishes.  [splice] turns it into the run's full recording. *)
+type tail = {
+  t_base : recording option;
+  t_cut : int;
+  t_steps : int;
+  t_start : int array;
+  t_finish : int array;
+  t_spec : Spec.t;
+  t_clustering : Clustering.t;
+  t_copy_cap : int;
+  t_arch : Arch.t;
+  t_site_pe : int array;
+  t_site_mode : int array;
+  t_levels : int array;
+  t_rc : recorder;
 }
 
 type exec_out = {
   x_verdict : verdict;
   x_sched : t option;
-  x_recording : recording option;
+  x_tail : tail option;
 }
 
-(* Stable sort of a strided int-entry log by the field at [key_off]
-   (entry order breaks ties, which keeps PPE windows in commit order
-   within an equal start — exactly the order [ppe_commit]'s
-   insert-after-equal-start maintains). *)
+(* Stable in-place sort of a strided int-entry log by the field at
+   [key_off] (entry order breaks ties, which keeps PPE windows in commit
+   order within an equal start — exactly the order [ppe_commit]'s
+   insert-after-equal-start maintains).  Logs arrive in commit order,
+   which list scheduling keeps nearly sorted by start, so an insertion
+   sort makes about one move per entry (EXPERIMENTS.md "Commit for
+   free" counts them). *)
 let sort_stride stride key_off (a : int array) =
-  let m = Array.length a / stride in
-  if m <= 1 then a
-  else begin
-    let idx = Array.init m (fun i -> i) in
-    Array.sort
-      (fun i j ->
-        let c = Int.compare a.((stride * i) + key_off) a.((stride * j) + key_off) in
-        if c <> 0 then c else Int.compare i j)
-      idx;
-    let out = Array.make (Array.length a) 0 in
-    Array.iteri
-      (fun pos i ->
+  let tmp = Array.make stride 0 in
+  for i = 1 to (Array.length a / stride) - 1 do
+    let k_i = a.((stride * i) + key_off) in
+    if a.((stride * (i - 1)) + key_off) > k_i then begin
+      for k = 0 to stride - 1 do
+        tmp.(k) <- a.((stride * i) + k)
+      done;
+      let j = ref i in
+      while !j > 0 && a.((stride * (!j - 1)) + key_off) > k_i do
         for k = 0 to stride - 1 do
-          out.((stride * pos) + k) <- a.((stride * i) + k)
-        done)
-      idx;
+          a.((stride * !j) + k) <- a.((stride * (!j - 1)) + k)
+        done;
+        decr j
+      done;
+      for k = 0 to stride - 1 do
+        a.((stride * !j) + k) <- tmp.(k)
+      done
+    end
+  done
+
+(* A spliced resource log: the entries of the basis log [prefix] (sorted
+   by the field at [key_off]) whose step, the last field, is below
+   [cut], merged with the start-sorted [tail], a prefix entry first on
+   an equal key.  Every prefix entry was committed before every tail
+   entry, so this is the stable sort of the whole run's commit-ordered
+   log — what [sort_stride] gives a full recording. *)
+let merge_log stride key_off ~cut (prefix : int array) (tail : int array) =
+  let step_off = stride - 1 in
+  let mp = Array.length prefix / stride and mt = Array.length tail / stride in
+  let kept = ref 0 in
+  for i = 0 to mp - 1 do
+    if prefix.((stride * i) + step_off) < cut then incr kept
+  done;
+  if !kept = 0 then tail
+  else if !kept = mp && mt = 0 then prefix
+  else begin
+    let out = Array.make ((!kept + mt) * stride) 0 in
+    let o = ref 0 in
+    let copy (src : int array) e =
+      for k = 0 to stride - 1 do
+        out.(!o + k) <- src.((stride * e) + k)
+      done;
+      o := !o + stride
+    in
+    let i = ref 0 and j = ref 0 in
+    while !i < mp || !j < mt do
+      if !i < mp && prefix.((stride * !i) + step_off) >= cut then incr i
+      else if
+        !i < mp
+        && (!j >= mt
+           || prefix.((stride * !i) + key_off) <= tail.((stride * !j) + key_off))
+      then begin
+        copy prefix !i;
+        incr i
+      end
+      else begin
+        copy tail !j;
+        incr j
+      end
+    done;
     out
   end
 
@@ -504,8 +572,12 @@ let sort_stride stride key_off (a : int array) =
    once it is scheduled, and the sum only grows, so the run stops as
    soon as it exceeds [limit] — the candidate then provably loses to
    whatever threshold the caller holds.  A stopped run reports its
-   partial sum and step count; the recording and materializing callers
-   leave it unbounded. *)
+   partial sum and step count; the materializing callers leave it
+   unbounded.
+
+   [record] captures the steps the run list-schedules itself (its tail:
+   every step of a plain run, the steps from the cut of a replay); a run
+   that [limit] stopped records nothing. *)
 let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
     ?(limit = max_int) (spec : Spec.t) (clustering : Clustering.t) (arch : Arch.t)
     ~site_pe ~site_mode ~(levels : int array) =
@@ -569,35 +641,27 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
     Array.init n_link_insts (fun i ->
         max 2 (List.length (Vec.get arch.Arch.links i).Arch.attached))
   in
-  let track_activity = materialize || record in
   let graph_activity = Array.make n_graphs [] in
+  let cut = match replay with Some (_, s) -> s | None -> 0 in
   let recorder =
     if not record then None
-    else
+    else begin
+      let n_placed = ref 0 in
+      for tid = 0 to Spec.n_tasks spec - 1 do
+        if placed tid then n_placed := !n_placed + ist.is_explicit.(graph_of.(tid))
+      done;
       Some
         {
-          c_pop_inst = Ibuf.create ();
-          c_pop_deadline = Ibuf.create ();
-          c_pop_start = Ibuf.create ();
-          c_pop_finish = Ibuf.create ();
+          c_pops = Array.make (max 0 (!n_placed - cut)) 0;
           c_cpu = Array.init n_pe_insts (fun _ -> Ibuf.create ());
           c_link = Array.init n_link_insts (fun _ -> Ibuf.create ());
-          c_ppe = Array.init n_pe_insts (fun _ -> Ibuf.create ());
-          c_act = Ibuf.create ();
         }
+    end
   in
   let step = ref 0 and late = ref 0 in
   let note_activity graph s f =
-    if track_activity && f > s then begin
-      graph_activity.(graph) <- (s, f) :: graph_activity.(graph);
-      match recorder with
-      | Some rc ->
-          Ibuf.push rc.c_act graph;
-          Ibuf.push rc.c_act s;
-          Ibuf.push rc.c_act f;
-          Ibuf.push rc.c_act !step
-      | None -> ()
-    end
+    if materialize && f > s then
+      graph_activity.(graph) <- (s, f) :: graph_activity.(graph)
   in
   (* Dependency counting over placed tasks only. *)
   let indegree = Array.make total 0 in
@@ -613,16 +677,19 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
         g.edges)
     spec.graphs;
   (* Prefix replay: fast-forward through the recorded steps below the
-     cut. *)
+     cut.  A step's activity is its execution window plus the link
+     transfers logged under its step. *)
   (match replay with
   | None -> ()
   | Some (r, s_stop) ->
       step := s_stop;
+      let step_graph k = graph_of.(i_task.(r.r_pop_inst.(k))) in
       for k = 0 to s_stop - 1 do
         let idx = r.r_pop_inst.(k) in
         starts.(idx) <- r.r_pop_start.(k);
         finishes.(idx) <- r.r_pop_finish.(k);
         late := !late + max 0 (r.r_pop_finish.(k) - r.r_pop_deadline.(k));
+        note_activity (step_graph k) r.r_pop_start.(k) r.r_pop_finish.(k);
         let tid = i_task.(idx) and copy = i_copy.(idx) in
         List.iter
           (fun (e : Edge.t) ->
@@ -634,11 +701,12 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
       done;
       (* Timelines: the per-resource logs are sorted by start, so the
          filtered prefix rebuilds via [Timeline.append] in O(prefix). *)
-      let replay_log3 get_timeline (log : int array) =
+      let replay_log3 ~link get_timeline (log : int array) =
         let m = Array.length log / 3 in
         let tl = ref None in
         for j = 0 to m - 1 do
-          if log.((3 * j) + 2) < s_stop then begin
+          let k = log.((3 * j) + 2) in
+          if k < s_stop then begin
             let t =
               match !tl with
               | Some t -> t
@@ -647,19 +715,21 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
                   tl := Some t;
                   t
             in
-            Timeline.append t log.(3 * j) log.((3 * j) + 1)
+            let s = log.(3 * j) and f = log.((3 * j) + 1) in
+            Timeline.append t s f;
+            if link then note_activity (step_graph k) s f
           end
         done
       in
       let np = min (Array.length r.r_cpu_logs) n_pe_insts in
       for p = 0 to np - 1 do
         if Array.length r.r_cpu_logs.(p) > 0 then
-          replay_log3 (fun () -> cpu_timeline p) r.r_cpu_logs.(p)
+          replay_log3 ~link:false (fun () -> cpu_timeline p) r.r_cpu_logs.(p)
       done;
       let nl = min (Array.length r.r_link_logs) n_link_insts in
       for l = 0 to nl - 1 do
         if Array.length r.r_link_logs.(l) > 0 then
-          replay_log3 (fun () -> link_timeline l) r.r_link_logs.(l)
+          replay_log3 ~link:true (fun () -> link_timeline l) r.r_link_logs.(l)
       done;
       (* PPE windows: the log is already in final window order (start,
          then commit order); the prefix subsequence keeps exactly the
@@ -692,16 +762,7 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
             st.w_n <- !cnt
           end
         end
-      done;
-      if track_activity then begin
-        let a = r.r_act in
-        let m = Array.length a / 4 in
-        for j = 0 to m - 1 do
-          if a.((4 * j) + 3) < s_stop then
-            graph_activity.(a.(4 * j)) <-
-              (a.((4 * j) + 1), a.((4 * j) + 2)) :: graph_activity.(a.(4 * j))
-        done
-      end);
+      done);
   (* Ready-list order: most urgent effective deadline first (the
      per-instance form of the deadline-based priority levels: the
      effective deadline already folds arrival, the task deadline and the
@@ -900,27 +961,13 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
           let st = ppe_state pe in
           let s = ppe_find_start st ~mode:s_mode ~ready ~duration in
           ppe_commit st ~mode:s_mode ~start:s ~stop:(s + duration);
-          (match recorder with
-          | Some rc ->
-              let pb = rc.c_ppe.(pe.Arch.p_id) in
-              Ibuf.push pb s_mode;
-              Ibuf.push pb s;
-              Ibuf.push pb (s + duration);
-              Ibuf.push pb !step
-          | None -> ());
           (s, s + duration)
     in
     starts.(idx) <- start;
     finishes.(idx) <- finish;
     late := !late + max 0 (finish - i_deadline.(idx));
     note_activity graph_of.(tid) start finish;
-    (match recorder with
-    | Some rc ->
-        Ibuf.push rc.c_pop_inst idx;
-        Ibuf.push rc.c_pop_deadline i_deadline.(idx);
-        Ibuf.push rc.c_pop_start start;
-        Ibuf.push rc.c_pop_finish finish
-    | None -> ());
+    (match recorder with Some rc -> rc.c_pops.(!step - cut) <- idx | None -> ());
     incr step;
     (* Release successors. *)
     List.iter
@@ -992,51 +1039,131 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
             }
         end
       in
-      let recording =
+      let tail =
         match recorder with
-        | None -> None
-        | Some rc ->
+        | Some rc when !heap_n = 0 ->
             Some
               {
-                r_spec = spec;
-                r_clustering = clustering;
-                r_copy_cap = copy_cap;
-                r_steps = !step;
-                r_pop_inst = Ibuf.trimmed rc.c_pop_inst;
-                r_pop_deadline = Ibuf.trimmed rc.c_pop_deadline;
-                r_pop_start = Ibuf.trimmed rc.c_pop_start;
-                r_pop_finish = Ibuf.trimmed rc.c_pop_finish;
-                r_cpu_logs =
-                  Array.map (fun b -> sort_stride 3 0 (Ibuf.trimmed b)) rc.c_cpu;
-                r_link_logs =
-                  Array.map (fun b -> sort_stride 3 0 (Ibuf.trimmed b)) rc.c_link;
-                r_ppe_logs =
-                  Array.map (fun b -> sort_stride 4 1 (Ibuf.trimmed b)) rc.c_ppe;
-                r_act = Ibuf.trimmed rc.c_act;
-                r_site_pe = Array.copy site_pe;
-                r_site_mode = Array.copy site_mode;
-                r_levels = Array.copy levels;
-                r_pe_types =
-                  Array.init n_pe_insts (fun p -> (Vec.get arch.Arch.pes p).Arch.ptype);
-                r_pe_boots =
-                  Array.init n_pe_insts (fun p ->
-                      let pe = Vec.get arch.Arch.pes p in
-                      match pe.Arch.ptype.Pe.pe_class with
-                      | Pe.Programmable _ ->
-                          Array.init (Vec.length pe.Arch.modes) (fun i ->
-                              Arch.mode_boot_us pe (Vec.get pe.Arch.modes i))
-                      | Pe.General_purpose _ | Pe.Asic_pe _ -> [||]);
-                r_link_types =
-                  Array.init n_link_insts (fun l ->
-                      (Vec.get arch.Arch.links l).Arch.ltype);
-                r_link_attached =
-                  Array.init n_link_insts (fun l ->
-                      Array.of_list
-                        (List.sort_uniq Int.compare
-                           (Vec.get arch.Arch.links l).Arch.attached));
+                t_base = Option.map fst replay;
+                t_cut = cut;
+                t_steps = !step;
+                t_start = starts;
+                t_finish = finishes;
+                t_spec = spec;
+                t_clustering = clustering;
+                t_copy_cap = copy_cap;
+                t_arch = arch;
+                t_site_pe = site_pe;
+                t_site_mode = site_mode;
+                t_levels = levels;
+                t_rc = rc;
               }
+        | Some _ | None -> None
       in
-      Ok { x_verdict = verdict; x_sched = sched; x_recording = recording }
+      Ok { x_verdict = verdict; x_sched = sched; x_tail = tail }
+
+(* The full recording of the run that produced [t]: the replayed basis
+   prefix, then the tail.  The pops are the basis's first [t_cut]
+   followed by the tail's; each resource log merges the basis entries
+   below the cut with the start-sorted tail ([merge_log]).  The
+   snapshot's placement and levels are the ones the run scheduled
+   against; PE types, boot vectors and links are read from [t_arch], so
+   it must still be in the state the run scheduled.  One pass over the
+   recording, plus the insertion sort of the tail's logs. *)
+let splice (t : tail) =
+  let rc = t.t_rc and arch = t.t_arch and cut = t.t_cut and steps = t.t_steps in
+  let ist = inst_static (spec_static t.t_spec) ~copy_cap:t.t_copy_cap in
+  let n_pe_insts = Vec.length arch.Arch.pes in
+  let n_link_insts = Vec.length arch.Arch.links in
+  let tail_inst = rc.c_pops and n_tail = steps - cut in
+  let prefix base =
+    let out = Array.make steps 0 in
+    (match t.t_base with Some r -> Array.blit (base r) 0 out 0 cut | None -> ());
+    out
+  in
+  let pops base (of_inst : int array) =
+    let out = prefix base in
+    for k = 0 to n_tail - 1 do
+      out.(cut + k) <- of_inst.(tail_inst.(k))
+    done;
+    out
+  in
+  let logs stride key_off base (tails : int array array) =
+    Array.mapi
+      (fun i tail ->
+        let prefix =
+          match t.t_base with
+          | Some r when i < Array.length (base r) -> (base r).(i)
+          | Some _ | None -> [||]
+        in
+        sort_stride stride key_off tail;
+        merge_log stride key_off ~cut prefix tail)
+      tails
+  in
+  (* The tail's PPE windows, per PE in step order: (mode, start, stop,
+     step) of every step whose task sits on a programmable device. *)
+  let ppe_tails =
+    let programmable =
+      Array.init n_pe_insts (fun p -> Pe.is_programmable (Vec.get arch.Arch.pes p).Arch.ptype)
+    in
+    let ppe_of k =
+      let p = t.t_site_pe.(ist.is_task.(tail_inst.(k))) in
+      if programmable.(p) then p else -1
+    in
+    let counts = Array.make n_pe_insts 0 in
+    for k = 0 to n_tail - 1 do
+      let p = ppe_of k in
+      if p >= 0 then counts.(p) <- counts.(p) + 1
+    done;
+    let out = Array.map (fun c -> Array.make (4 * c) 0) counts in
+    let fill = Array.make n_pe_insts 0 in
+    for k = 0 to n_tail - 1 do
+      let p = ppe_of k in
+      if p >= 0 then begin
+        let idx = tail_inst.(k) and o = 4 * fill.(p) in
+        out.(p).(o) <- t.t_site_mode.(ist.is_task.(idx));
+        out.(p).(o + 1) <- t.t_start.(idx);
+        out.(p).(o + 2) <- t.t_finish.(idx);
+        out.(p).(o + 3) <- cut + k;
+        fill.(p) <- fill.(p) + 1
+      end
+    done;
+    out
+  in
+  {
+    r_spec = t.t_spec;
+    r_clustering = t.t_clustering;
+    r_copy_cap = t.t_copy_cap;
+    r_steps = steps;
+    r_pop_inst =
+      (let out = prefix (fun r -> r.r_pop_inst) in
+       Array.blit tail_inst 0 out cut n_tail;
+       out);
+    r_pop_deadline = pops (fun r -> r.r_pop_deadline) ist.is_deadline;
+    r_pop_start = pops (fun r -> r.r_pop_start) t.t_start;
+    r_pop_finish = pops (fun r -> r.r_pop_finish) t.t_finish;
+    r_cpu_logs = logs 3 0 (fun r -> r.r_cpu_logs) (Array.map Ibuf.trimmed rc.c_cpu);
+    r_link_logs = logs 3 0 (fun r -> r.r_link_logs) (Array.map Ibuf.trimmed rc.c_link);
+    r_ppe_logs = logs 4 1 (fun r -> r.r_ppe_logs) ppe_tails;
+    r_site_pe = Array.copy t.t_site_pe;
+    r_site_mode = Array.copy t.t_site_mode;
+    r_levels = Array.copy t.t_levels;
+    r_pe_types = Array.init n_pe_insts (fun p -> (Vec.get arch.Arch.pes p).Arch.ptype);
+    r_pe_boots =
+      Array.init n_pe_insts (fun p ->
+          let pe = Vec.get arch.Arch.pes p in
+          match pe.Arch.ptype.Pe.pe_class with
+          | Pe.Programmable _ ->
+              Array.init (Vec.length pe.Arch.modes) (fun i ->
+                  Arch.mode_boot_us pe (Vec.get pe.Arch.modes i))
+          | Pe.General_purpose _ | Pe.Asic_pe _ -> [||]);
+    r_link_types =
+      Array.init n_link_insts (fun l -> (Vec.get arch.Arch.links l).Arch.ltype);
+    r_link_attached =
+      Array.init n_link_insts (fun l ->
+          Array.of_list
+            (List.sort_uniq Int.compare (Vec.get arch.Arch.links l).Arch.attached));
+  }
 
 (* Where an exact prefix replay of [r] must stop for the candidate
    [arch]: diff the candidate against the recorded snapshot, mark the
@@ -1246,12 +1373,12 @@ module Replay = struct
         arch ~site_pe ~site_mode ~levels
     with
     | Error _ as e -> e
-    | Ok out -> Ok (Option.get out.x_sched, Option.get out.x_recording)
+    | Ok out -> Ok (Option.get out.x_sched, splice (Option.get out.x_tail))
 
-  (* Recording capture without schedule materialization: the commit
-     points of the synthesis loops refresh the replay basis but discard
-     the schedule, so building the instance records and activity
-     intervals there is pure waste. *)
+  (* Recording capture without schedule materialization, for a caller
+     that only needs a basis (a warm re-synthesis seeding its
+     evaluator): building the instance records and activity intervals
+     there is pure waste. *)
   let record_only ?(copy_cap = default_copy_cap) (spec : Spec.t)
       (clustering : Clustering.t) (arch : Arch.t) =
     let site_pe, site_mode = site_arrays spec clustering arch in
@@ -1261,7 +1388,7 @@ module Replay = struct
         clustering arch ~site_pe ~site_mode ~levels
     with
     | Error _ as e -> e
-    | Ok out -> Ok (Option.get out.x_recording)
+    | Ok out -> Ok (splice (Option.get out.x_tail))
 
   type prep = {
     p_recording : recording;
@@ -1300,6 +1427,44 @@ module Replay = struct
     with
     | Error _ as e -> e
     | Ok out -> Ok out.x_verdict
+
+  type nonrec tail = tail
+
+  let replay_tail ?limit p =
+    match
+      exec ~copy_cap:p.p_recording.r_copy_cap ~materialize:false ~record:true
+        ~replay:(Some (p.p_recording, p.p_cut)) ?limit p.p_spec p.p_clustering
+        p.p_arch ~site_pe:p.p_site_pe ~site_mode:p.p_site_mode ~levels:p.p_levels
+    with
+    | Error _ as e -> e
+    | Ok out -> Ok (out.x_verdict, out.x_tail)
+
+  let splice = splice
+
+  (* Field for field: the spec, clustering, PE and link types by
+     identity (the diff compares them so), everything else by value. *)
+  let equal (a : recording) (b : recording) =
+    let same_ids x y =
+      Array.length x = Array.length y && Array.for_all2 (fun u v -> u == v) x y
+    in
+    a.r_spec == b.r_spec
+    && a.r_clustering == b.r_clustering
+    && a.r_copy_cap = b.r_copy_cap
+    && a.r_steps = b.r_steps
+    && a.r_pop_inst = b.r_pop_inst
+    && a.r_pop_deadline = b.r_pop_deadline
+    && a.r_pop_start = b.r_pop_start
+    && a.r_pop_finish = b.r_pop_finish
+    && a.r_cpu_logs = b.r_cpu_logs
+    && a.r_link_logs = b.r_link_logs
+    && a.r_ppe_logs = b.r_ppe_logs
+    && a.r_site_pe = b.r_site_pe
+    && a.r_site_mode = b.r_site_mode
+    && a.r_levels = b.r_levels
+    && same_ids a.r_pe_types b.r_pe_types
+    && a.r_pe_boots = b.r_pe_boots
+    && same_ids a.r_link_types b.r_link_types
+    && a.r_link_attached = b.r_link_attached
 
   let replay_run p =
     match

@@ -96,8 +96,10 @@ type verdict = {
     architecture.  [prepare] diffs a candidate architecture against that
     snapshot and computes the provably identical prefix; [replay_verdict]
     / [replay_run] fast-forward through it and schedule only the
-    remainder.  Exposed for {!Incremental} (the policy layer), the
-    differential tests and the fuzzer's self-test. *)
+    remainder, and [replay_tail] also records that remainder, which
+    [splice] turns into the candidate's own recording.  Exposed for
+    {!Incremental} (the policy layer), the differential tests and the
+    fuzzer's self-test. *)
 module Replay : sig
   type recording
 
@@ -131,7 +133,8 @@ module Replay : sig
     (recording, string) result
   (** Like {!record} but skips schedule materialization (no instance
       records, activity intervals or mode-switch counts are built).  For
-      commit points that only need to refresh the replay basis. *)
+      a caller that needs a basis for an architecture no replay has
+      scheduled: a warm re-synthesis seeding its evaluator. *)
 
   type prep
 
@@ -165,6 +168,28 @@ module Replay : sig
   val replay_run : prep -> (t, string) result
   (** Like {!replay_verdict} but materializes the full schedule;
       bit-identical to a fresh {!run}. *)
+
+  type tail
+  (** The steps a replay list-scheduled itself, with their resource
+      reservations, on top of the recording prefix it replayed. *)
+
+  val replay_tail : ?limit:int -> prep -> (verdict * tail option, string) result
+  (** {!replay_verdict} that also records its tail: [Some] when the run
+      scheduled every instance, [None] when [limit] stopped it. *)
+
+  val splice : tail -> recording
+  (** The recording of the replayed candidate, equal field for field to
+      {!record_only} of it: the basis prefix, then the tail, with each
+      resource log merged in linear time.  The placement and levels come
+      from the replay; PE types, mode boot times and links are read from
+      the candidate architecture, so splice while it is still in the
+      state the replay scheduled (a journal rollback restores a base bit
+      for bit, so re-applying the same option to it restores that
+      state). *)
+
+  val equal : recording -> recording -> bool
+  (** Field-for-field equality: spec, clustering, PE and link types by
+      identity, every other field by value. *)
 
   val corrupt_for_selftest : ?step:int -> recording -> bool
   (** Mutates the recording at [step] (default: the last step) so that

@@ -244,8 +244,9 @@ let result_signature (r : C.result) =
     arch_signature r.C.clustering r.C.arch,
     sched )
 
-let synthesize_with ~incremental spec lib =
-  let options = { C.default_options with incremental } in
+let synthesize_with ?(eval_window = C.default_options.C.eval_window) ~incremental
+    spec lib =
+  let options = { C.default_options with incremental; eval_window } in
   match C.synthesize ~options spec lib with
   | Ok r -> r
   | Error msg -> Alcotest.failf "synthesis failed: %s" msg
@@ -253,9 +254,9 @@ let synthesize_with ~incremental spec lib =
 (* The bounded replay stops losing candidates early; the reference
    evaluator schedules every candidate in full, so any decision the
    bound got wrong shows up as a different result. *)
-let determinism_on_spec name spec lib =
-  let reference = synthesize_with ~incremental:false spec lib in
-  let bounded = synthesize_with ~incremental:true spec lib in
+let determinism_on_spec ?eval_window name spec lib =
+  let reference = synthesize_with ?eval_window ~incremental:false spec lib in
+  let bounded = synthesize_with ?eval_window ~incremental:true spec lib in
   check Alcotest.bool
     (name ^ ": bounded incremental = reference")
     true
@@ -275,6 +276,22 @@ let determinism_generated () =
         (Printf.sprintf "generated seed %d" seed)
         spec Helpers.stock_lib)
     [ 11; 42 ]
+
+(* Every allocation of this chain settles for its least-tardy option
+   (see [fallback_commits_traced]).  Repair's rip-up then adopts the
+   tail its fallback's replay recorded, after the other trials, their
+   rollbacks and the fallback's re-apply; a basis that did not match the
+   re-applied architecture would misjudge the evaluations that follow.
+   Checked at the default window and at a window of one. *)
+let determinism_fallback () =
+  let lib = Helpers.small_lib in
+  let spec, _ = Helpers.sw_chain ~lib ~exec:9_000 ~deadline:1_000 2 in
+  List.iter
+    (fun eval_window ->
+      determinism_on_spec ~eval_window
+        (Printf.sprintf "fallback chain, window %d" eval_window)
+        spec lib)
+    [ C.default_options.C.eval_window; 1 ]
 
 (* The per-run scoping contract: every synthesis owns its evaluator and
    counters, so identical back-to-back runs report identical, exact
@@ -461,6 +478,7 @@ let suite =
     Alcotest.test_case "journal checkpoints nest" `Quick journal_nested;
     Alcotest.test_case "determinism: figure2" `Quick determinism_figure2;
     Alcotest.test_case "determinism: figure4" `Quick determinism_figure4;
+    Alcotest.test_case "determinism: fallback commits" `Quick determinism_fallback;
     Alcotest.test_case "determinism: generated workloads" `Slow determinism_generated;
     Alcotest.test_case "eval stats scoped per run" `Quick eval_stats_per_run;
     Alcotest.test_case "results carry their own schedule" `Slow

@@ -4,8 +4,10 @@
    perturbs the placement (the way candidate evaluation does: one
    cluster moves), and asserts that replaying the recording against the
    perturbed architecture is bit-identical — schedule and verdict — to
-   a fresh [Schedule.run] on it, and that a bounded replay agrees
-   wherever its limit lets it and reports a loss where it stops.
+   a fresh [Schedule.run] on it, that a bounded replay agrees wherever
+   its limit lets it and reports a loss where it stops, and that the
+   tail a replay records splices to the candidate's own recording
+   whenever the replay ran to the end.
    Micro-specs pin the structurally interesting cases (single PE, a
    shared link, a mode-window boundary, the copy-cap extrapolation
    edge); a qcheck property sweeps random workloads under random
@@ -72,6 +74,8 @@ let move_cluster spec clustering arch cid =
 
 let scheds_equal (a : Schedule.t) (b : Schedule.t) =
   a.Schedule.instances = b.Schedule.instances
+  && a.Schedule.hyperperiod = b.Schedule.hyperperiod
+  && a.Schedule.graph_windows = b.Schedule.graph_windows
   && a.Schedule.deadlines_met = b.Schedule.deadlines_met
   && a.Schedule.total_tardiness = b.Schedule.total_tardiness
   && a.Schedule.scheduled_tasks = b.Schedule.scheduled_tasks
@@ -83,16 +87,46 @@ let scheds_equal (a : Schedule.t) (b : Schedule.t) =
    verdict must agree too whenever the fresh tardiness T is within its
    limit, and otherwise report a loss: not met, with a tardiness in
    (limit, T].  When the fresh run fails, a bounded replay either fails
-   the same way or stops above its limit before reaching the failure. *)
+   the same way or stops above its limit before reaching the failure.
+
+   Every replay also records its tail: one that scheduled every
+   instance must splice to a recording equal, field for field, to
+   [record_only] of [arch]; one that its limit stopped must record
+   nothing. *)
 let assert_replay_exact ?(copy_cap = Schedule.default_copy_cap) name spec
     clustering arch recording =
   if not (Schedule.Replay.compatible recording ~copy_cap spec clustering) then
     Alcotest.failf "%s: recording not compatible with its own inputs" name;
   let prep = Schedule.Replay.prepare recording spec clustering arch in
-  let bounded limit = Schedule.Replay.replay_verdict ~limit prep in
   let stopped limit (v : Schedule.verdict) =
     (not v.Schedule.v_met) && v.Schedule.v_tardiness > limit
   in
+  let full = Schedule.Replay.record_only ~copy_cap spec clustering arch in
+  let check_tail what (v : Schedule.verdict) tail =
+    match (tail, full) with
+    | Some tail, Ok full ->
+        check Alcotest.bool (what ^ ": splice equals record_only") true
+          (Schedule.Replay.equal (Schedule.Replay.splice tail) full)
+    | Some _, Error msg ->
+        Alcotest.failf "%s: recorded a tail where record_only fails: %s" what msg
+    | None, Ok full ->
+        check Alcotest.bool (what ^ ": only a stopped replay records nothing") true
+          (v.Schedule.v_scheduled < Schedule.Replay.steps full)
+    | None, Error _ -> ()
+  in
+  let bounded limit =
+    let what = Printf.sprintf "%s: limit %d" name limit in
+    match Schedule.Replay.replay_tail ~limit prep with
+    | Error _ as e -> e
+    | Ok (v, tail) ->
+        check_tail what v tail;
+        check Alcotest.bool (what ^ ": replay_verdict agrees") true
+          (Schedule.Replay.replay_verdict ~limit prep = Ok v);
+        Ok v
+  in
+  (match Schedule.Replay.replay_tail prep with
+  | Ok (v, tail) -> check_tail (name ^ ": unbounded") v tail
+  | Error _ -> ());
   match
     ( Schedule.run ~copy_cap spec clustering arch,
       Schedule.Replay.replay_run prep,
