@@ -653,6 +653,14 @@ let verdict_flip (r : Core.result) =
   then ("verdict-flip", `Detected)
   else ("verdict-flip", `Missed ("verdict", vs))
 
+(* The schedule a full replay of [prep] keeps: its tail spliced onto
+   the replayed prefix and read off. *)
+let replayed_schedule prep =
+  Result.map
+    (fun (_, tail) ->
+      Schedule.Replay.schedule (Schedule.Replay.splice (Option.get tail)))
+    (Schedule.Replay.replay_tail prep)
+
 (* Replay-oracle self-test: corrupt a live recording and assert that a
    full-prefix replay against the unchanged architecture diverges from
    the fresh run.  Proves the differential check (fuzz axis
@@ -663,9 +671,10 @@ let replay_corruption (r : Core.result) =
   let spec = r.Core.spec
   and clustering = r.Core.clustering
   and arch = r.Core.arch in
-  match Schedule.Replay.record spec clustering arch with
+  match Schedule.Replay.record_only spec clustering arch with
   | Error why -> (name, `Inapplicable ("record failed: " ^ why))
-  | Ok (fresh, recording) ->
+  | Ok recording ->
+      let fresh = Schedule.Replay.schedule recording in
       if not (Schedule.Replay.corrupt_for_selftest recording) then
         (name, `Inapplicable "recording has no steps to corrupt")
       else begin
@@ -685,7 +694,7 @@ let replay_corruption (r : Core.result) =
                   };
                 ] ) )
         else begin
-          match Schedule.Replay.replay_run prep with
+          match replayed_schedule prep with
           | Error _ ->
               (* Divergence surfaced as an outright failure: detected. *)
               (name, `Detected)
@@ -719,9 +728,10 @@ let merge_basis_corruption (r : Core.result) =
   let spec = r.Core.spec
   and clustering = r.Core.clustering in
   let arch = Arch.copy r.Core.arch in
-  match Schedule.Replay.record spec clustering arch with
+  match Schedule.Replay.record_only spec clustering arch with
   | Error why -> (name, `Inapplicable ("record failed: " ^ why))
-  | Ok (fresh, recording) ->
+  | Ok recording ->
+      let fresh = Schedule.Replay.schedule recording in
       (* Journaled merge-style perturbation round-trip: unplace every
          cluster, then roll back, exactly as a rejected trial does. *)
       let ck = Arch.checkpoint arch in
@@ -752,7 +762,7 @@ let merge_basis_corruption (r : Core.result) =
                   };
                 ] ) )
         else begin
-          match Schedule.Replay.replay_run prep with
+          match replayed_schedule prep with
           | Error _ -> (name, `Detected)
           | Ok replayed ->
               if Core.schedule_fingerprint replayed <> Core.schedule_fingerprint fresh

@@ -459,7 +459,3 @@ let n_links t =
 
 let task_site t (clustering : Clustering.t) task_id =
   site_of_cluster t clustering.of_task.(task_id)
-
-let pp_summary fmt t =
-  Format.fprintf fmt "architecture: %d PEs, %d links, cost $%.0f" (n_pes t) (n_links t)
-    (cost t)

@@ -205,5 +205,3 @@ val n_links : t -> int
 
 val task_site : t -> Crusade_cluster.Clustering.t -> int -> site option
 (** Placement of a task via its cluster. *)
-
-val pp_summary : Format.formatter -> t -> unit

@@ -259,8 +259,8 @@ let allocate_cluster ~opts ~ctx spec clustering arch cluster =
     let best_fallback = ref None in
     let adopt = Option.iter (Incremental.adopt ctx.eval) in
     (* Trials only need the verdict; [Incremental.evaluate] replays the
-       prefix of the last full run and skips materializing a schedule.
-       The flow schedules the finished architecture once, in [repair]. *)
+       basis prefix and reads no schedule.  The flow reads the finished
+       architecture's schedule once, in [repair]. *)
     let schedule_trial trial =
       let limit =
         match !best_fallback with

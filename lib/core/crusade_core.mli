@@ -89,14 +89,20 @@ type eval_stats = {
   memo_bypassed : int;  (** retired, always 0 (see [memo_hits]) *)
   rollbacks : int;  (** journaled trial mutations undone in place *)
   replays : int;
-      (** candidate evaluations served by incremental prefix replay *)
+      (** evaluations served by incremental prefix replay: candidate
+          trials, and the unbounded replays behind every kept schedule *)
   rebuilds : int;
-      (** full scheduler runs through the incremental engine; 0 when
-          [options.incremental] is off *)
+      (** evaluations that found no compatible basis and ran the
+          scheduler from scratch: 1 per synthesis (its first
+          evaluation), 0 in a {!Resynth} attempt seeded with a basis,
+          and 0 when [options.incremental] is off *)
   merge_replays : int;
       (** the merge phase's share of [replays] — how much of the PPE
           merge/combine trial load the incremental basis absorbed *)
-  merge_rebuilds : int;  (** the merge phase's share of [rebuilds] *)
+  merge_rebuilds : int;
+      (** the merge phase's share of [rebuilds]: always 0, since the
+          merge phase starts from the basis allocation left.  Kept so
+          existing readers of the record still build. *)
   traj_launched : int;
       (** portfolio trajectories launched; 0 outside portfolio runs
           (the winning result is annotated via {!Portfolio.annotate}) *)

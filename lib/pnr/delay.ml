@@ -67,9 +67,3 @@ let measure ?device ?(samples = 15) circuit ~eruf ~epuf ~seed =
     | [] -> Unroutable
     | xs -> Increase_pct (max 0.0 (Crusade_util.Stats.mean xs))
   end
-
-let one_sample_for_debug circuit ~eruf ~epuf ~seed =
-  let device = host_device circuit in
-  match one_sample device circuit ~eruf ~epuf ~seed with
-  | Fabric.Routed { overflow_ratio; _ } -> Some overflow_ratio
-  | Fabric.Unroutable -> None

@@ -33,9 +33,3 @@ val measure :
     samples fail to route.  When [device] is omitted, the circuit is
     hosted on a device it occupies to about 35%, so the ERUF sweep has
     room to fill. *)
-
-(**/**)
-
-val one_sample_for_debug :
-  Circuit.t -> eruf:float -> epuf:float -> seed:int -> float option
-(** Overflow ratio of a single placement/routing sample; testing hook. *)

@@ -209,8 +209,9 @@ let optimize ?(copy_cap = Schedule.default_copy_cap) ?(max_trials_per_pass = 400
               | Ok () -> accepts ~base_cost ~strict:true current)
         in
         if verdict_ok then begin
-          (* The verdict said feasible, so the materializing run
-             cannot fail (same inputs, bit-identical result). *)
+          (* The verdict said feasible, so the unbounded replay
+             behind the kept schedule cannot fail (same inputs,
+             bit-identical result). *)
           match run_schedule current with
           | Error _ -> Arch.rollback current ck
           | Ok sched ->

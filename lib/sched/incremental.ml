@@ -3,9 +3,9 @@ module Clustering = Crusade_cluster.Clustering
 module Arch = Crusade_alloc.Arch
 module Trace = Crusade_util.Trace
 
-(* The policy layer over [Schedule.Replay]: keep the recording of the
-   latest full scheduler run alive, and when the next candidate shares
-   its spec/clustering/copy_cap ([Schedule.Replay.compatible]), diff the
+(* The policy layer over [Schedule.Replay]: keep one recording alive
+   as the basis, and when the next candidate shares its
+   spec/clustering/copy_cap ([Schedule.Replay.compatible]), diff the
    candidate against that recording's snapshot and replay the provably
    identical prefix instead of rebuilding the timelines from scratch.
    Candidate evaluation perturbs one cluster at a time, so successive
@@ -20,7 +20,8 @@ module Trace = Crusade_util.Trace
    A replay records the steps it list-schedules, so the candidate a
    caller commits already has its recording: [adopt] splices it onto
    the basis prefix instead of scheduling the committed architecture
-   again.  Only the tails a caller adopts are spliced. *)
+   again.  Only the tails a caller adopts are spliced, and every
+   schedule a run keeps is read off an adopted basis. *)
 
 type t = {
   reference : bool;  (* plain [Schedule.run] per call, nothing recorded *)
@@ -53,32 +54,20 @@ let replays t = Trace.Counter.get t.replay_counter
 let rebuilds t = Trace.Counter.get t.rebuild_counter
 let prunes t = Trace.Counter.get t.prune_counter
 
-let run t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
-    (clustering : Clustering.t) (arch : Arch.t) =
-  if t.reference then
-    Trace.span t.trace "schedule.run" (fun () ->
-        Schedule.run ~copy_cap spec clustering arch)
-  else begin
-    Trace.Counter.incr t.rebuild_counter;
-    match
-      Trace.span t.trace "schedule.run" (fun () ->
-          Schedule.Replay.record ~copy_cap spec clustering arch)
-    with
-    | Error _ as e -> e  (* keep the previous recording *)
-    | Ok (sched, recording) ->
-        t.basis <- Some recording;
-        Ok sched
-  end
+let verdict_of (s : Schedule.t) =
+  {
+    Schedule.v_tardiness = s.Schedule.total_tardiness;
+    v_met = s.Schedule.deadlines_met;
+    v_scheduled = s.Schedule.scheduled_tasks;
+  }
 
 (* A recording never stops being a valid diff basis (it is immutable and
    the diff is computed against the candidate), so evaluation always
-   replays when the slot holds a compatible recording: even a
-   zero-length prefix is a win, because the verdict-only run skips
-   materialization.  Freshness of the basis only affects the prefix
-   length; the allocation loop adopts each committed candidate's
-   replayed tail ([adopt]), and every schedule a run keeps comes from
-   [run], which records too.  A candidate that [run] evaluated leaves no
-   tail: its recording already is the basis.
+   replays when the slot holds a compatible recording, even from a
+   zero-length prefix.  Freshness of the basis only affects the prefix
+   length; callers adopt each committed candidate's replayed tail
+   ([adopt]).  Without a compatible basis the evaluation rebuilds: a
+   full recording run that becomes the basis and leaves no tail.
 
    Only the replay honours [limit]: a rebuild must run to the end to be
    a recording, and the reference evaluator is the oracle. *)
@@ -86,25 +75,31 @@ let evaluate t ?(copy_cap = Schedule.default_copy_cap) ?(limit = max_int)
     (spec : Spec.t) (clustering : Clustering.t) (arch : Arch.t) =
   t.pending <- None;
   let verdict =
-    match t.basis with
-    | Some r when Schedule.Replay.compatible r ~copy_cap spec clustering -> (
-        let prep = Schedule.Replay.prepare r spec clustering arch in
-        Trace.Counter.incr t.replay_counter;
-        Trace.instant t.trace "eval.replay";
-        match Schedule.Replay.replay_tail ~limit prep with
-        | Error _ as e -> e
-        | Ok (v, tail) ->
-            t.pending <- tail;
-            Ok v)
-    | Some _ | None ->
-        Result.map
-          (fun (s : Schedule.t) ->
-            {
-              Schedule.v_tardiness = s.Schedule.total_tardiness;
-              v_met = s.Schedule.deadlines_met;
-              v_scheduled = s.Schedule.scheduled_tasks;
-            })
-          (run t ~copy_cap spec clustering arch)
+    if t.reference then
+      Result.map verdict_of
+        (Trace.span t.trace "schedule.run" (fun () ->
+             Schedule.run ~copy_cap spec clustering arch))
+    else
+      match t.basis with
+      | Some r when Schedule.Replay.compatible r ~copy_cap spec clustering -> (
+          let prep = Schedule.Replay.prepare r spec clustering arch in
+          Trace.Counter.incr t.replay_counter;
+          Trace.instant t.trace "eval.replay";
+          match Schedule.Replay.replay_tail ~limit prep with
+          | Error _ as e -> e
+          | Ok (v, tail) ->
+              t.pending <- tail;
+              Ok v)
+      | Some _ | None -> (
+          Trace.Counter.incr t.rebuild_counter;
+          match
+            Trace.span t.trace "schedule.run" (fun () ->
+                Schedule.Replay.record_only ~copy_cap spec clustering arch)
+          with
+          | Error _ as e -> e  (* keep the previous basis *)
+          | Ok r ->
+              t.basis <- Some r;
+              Ok (verdict_of (Schedule.Replay.schedule r)))
   in
   (match verdict with
   | Ok v when v.Schedule.v_tardiness > limit -> Trace.Counter.incr t.prune_counter
@@ -117,3 +112,17 @@ let take t =
   p
 
 let adopt t tail = t.basis <- Some (Schedule.Replay.splice tail)
+
+(* An unbounded evaluation whose recording becomes the basis, and the
+   schedule read off that basis. *)
+let run t ?(copy_cap = Schedule.default_copy_cap) (spec : Spec.t)
+    (clustering : Clustering.t) (arch : Arch.t) =
+  if t.reference then
+    Trace.span t.trace "schedule.run" (fun () ->
+        Schedule.run ~copy_cap spec clustering arch)
+  else
+    Result.map
+      (fun _ ->
+        Option.iter (adopt t) (take t);
+        Schedule.Replay.schedule (Option.get t.basis))
+      (evaluate t ~copy_cap spec clustering arch)

@@ -5,10 +5,10 @@
 
     Candidate evaluation schedules thousands of architectures per
     synthesis that differ from their predecessor by one cluster's
-    placement.  This engine keeps a recording of the latest full
-    scheduler run — the pop sequence, every resource reservation, and a
-    snapshot of what the scheduler read from the architecture — and
-    evaluates the next candidate by diffing it against the snapshot,
+    placement.  This engine keeps one recording as its basis — the pop
+    sequence, every resource reservation, and a snapshot of what the
+    scheduler read from the architecture — and evaluates the next
+    candidate by diffing it against the snapshot,
     replaying the provably unchanged prefix of the recording, and
     list-scheduling only the remainder.  Replayed verdicts are
     bit-identical to a fresh {!Schedule.run} by construction (the diff
@@ -20,7 +20,9 @@
     the caller commits already has its recording: {!take} it after the
     evaluation and {!adopt} it as the next basis, which splices it onto
     the replayed prefix in linear time instead of scheduling the
-    committed architecture again.
+    committed architecture again.  A schedule the caller keeps is read
+    off such an adopted basis ({!run}), so the scheduler runs from
+    scratch only when no compatible basis exists.
 
     One engine is scoped to a synthesis run and owns its counters, so
     back-to-back or concurrent runs report independent statistics.  It
@@ -58,10 +60,13 @@ val run :
   Crusade_cluster.Clustering.t ->
   Crusade_alloc.Arch.t ->
   (Schedule.t, string) result
-(** A full scheduler run, bit-identical to {!Schedule.run}, whose
-    recording replaces the engine's (kept unchanged on [Error]).  For
-    the schedules a synthesis keeps: a repaired architecture, an
-    accepted merge, the chosen interface. *)
+(** The schedule of [arch], bit-identical to {!Schedule.run}: an
+    unbounded {!evaluate} whose recording becomes the basis (its tail
+    is adopted; a rebuild's recording already is the basis), then
+    {!Schedule.Replay.schedule} of that basis.  The basis is kept
+    unchanged on [Error].  For the schedules a synthesis keeps: a
+    repaired architecture, an accepted merge, the chosen interface.  In
+    reference mode, one plain {!Schedule.run}. *)
 
 val evaluate :
   t ->
@@ -75,10 +80,10 @@ val evaluate :
     [total_tardiness] / [deadlines_met] / [scheduled_tasks] whenever
     that tardiness is at most [limit] (non-negative; default
     unbounded).  Served by a prefix replay whenever the engine's
-    recording is {!Schedule.Replay.compatible} with the call — even a
-    zero-length prefix wins, because the verdict-only run skips
-    materialization and recording overhead; otherwise by a {!run},
-    whose recording then replaces the old one.
+    recording is {!Schedule.Replay.compatible} with the call, even from
+    a zero-length prefix; otherwise by a rebuild, a
+    {!Schedule.Replay.record_only} run whose recording then replaces
+    the old one.
 
     A replay stops as soon as the candidate's tardiness provably exceeds
     [limit] and reports a tardiness above [limit] with [v_met = false]
@@ -89,7 +94,7 @@ val evaluate :
 
     A replay that ran to the end leaves the tail it recorded pending
     for {!take}.  A replay that [limit] stopped, a failed evaluation and
-    the reference evaluator leave none, and so does a {!run}: its
+    the reference evaluator leave none, and so does a rebuild: its
     recording already is the basis. *)
 
 val take : t -> Schedule.Replay.tail option
@@ -113,6 +118,7 @@ val replays : t -> int
 (** Evaluations served by prefix replay. *)
 
 val rebuilds : t -> int
-(** Full scheduler runs that replaced the recording: every {!run}, and
-    each {!evaluate} that found no compatible basis.  An {!adopt}ed
-    splice is not one. *)
+(** Rebuilds: evaluations (a {!run}'s included) that found no
+    compatible basis and ran the scheduler from scratch.  One per
+    synthesis, on its first evaluation; none when {!create} was handed a
+    compatible basis.  An {!adopt}ed splice is not one. *)

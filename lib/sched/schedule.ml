@@ -98,17 +98,6 @@ let ppe_commit state ~mode ~start ~stop =
   state.w_stops.(pos) <- stop;
   state.w_n <- state.w_n + 1
 
-let count_switches state =
-  (* Count mode alternations along the start-sorted windows. *)
-  if state.w_n = 0 then 0
-  else begin
-    let acc = ref 0 in
-    for i = 1 to state.w_n - 1 do
-      if state.w_modes.(i) <> state.w_modes.(i - 1) then incr acc
-    done;
-    !acc
-  end
-
 exception Disconnected of int * int
 
 (* Per-(spec, copy_cap) instance skeleton: everything about the
@@ -483,12 +472,6 @@ type tail = {
   t_rc : recorder;
 }
 
-type exec_out = {
-  x_verdict : verdict;
-  x_sched : t option;
-  x_tail : tail option;
-}
-
 (* Stable in-place sort of a strided int-entry log by the field at
    [key_off] (entry order breaks ties, which keeps PPE windows in commit
    order within an equal start — exactly the order [ppe_commit]'s
@@ -560,10 +543,10 @@ let merge_log stride key_off ~cut (prefix : int array) (tail : int array) =
     out
   end
 
-(* The list scheduler proper, shared by the plain, recording and replay
-   entry points.  [replay = Some (r, s)] fast-forwards through the first
-   [s] recorded steps — writing the recorded starts/finishes, rebuilding
-   the resource timelines from the recorded reservations and decrementing
+(* The list scheduler proper, shared by the full and replay entry
+   points.  [replay = Some (r, s)] fast-forwards through the first [s]
+   recorded steps — writing the recorded starts/finishes, rebuilding the
+   resource timelines from the recorded reservations and decrementing
    indegrees — then runs the normal algorithm on the remainder.  The
    caller guarantees (see [replay_cut]) that those [s] steps are exactly
    what a full run against [arch] would have scheduled.
@@ -572,18 +555,17 @@ let merge_log stride key_off ~cut (prefix : int array) (tail : int array) =
    once it is scheduled, and the sum only grows, so the run stops as
    soon as it exceeds [limit] — the candidate then provably loses to
    whatever threshold the caller holds.  A stopped run reports its
-   partial sum and step count; the materializing callers leave it
-   unbounded.
+   partial sum and step count.
 
-   [record] captures the steps the run list-schedules itself (its tail:
-   every step of a plain run, the steps from the cut of a replay); a run
-   that [limit] stopped records nothing. *)
-let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
-    ?(limit = max_int) (spec : Spec.t) (clustering : Clustering.t) (arch : Arch.t)
-    ~site_pe ~site_mode ~(levels : int array) =
+   Besides the verdict, a run returns its tail: the steps it
+   list-scheduled itself (every step of a full run, the steps from the
+   cut of a replay), which [splice] turns into the run's recording.  A
+   run that [limit] stopped returns none. *)
+let exec ~copy_cap ~(replay : (recording * int) option) ?(limit = max_int)
+    (spec : Spec.t) (clustering : Clustering.t) (arch : Arch.t) ~site_pe
+    ~site_mode ~(levels : int array) =
   let ss = spec_static spec in
   let ist = inst_static ss ~copy_cap in
-  let n_graphs = Spec.n_graphs spec in
   let total = ist.is_total in
   let i_task = ist.is_task
   and i_copy = ist.is_copy
@@ -641,28 +623,19 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
     Array.init n_link_insts (fun i ->
         max 2 (List.length (Vec.get arch.Arch.links i).Arch.attached))
   in
-  let graph_activity = Array.make n_graphs [] in
   let cut = match replay with Some (_, s) -> s | None -> 0 in
-  let recorder =
-    if not record then None
-    else begin
-      let n_placed = ref 0 in
-      for tid = 0 to Spec.n_tasks spec - 1 do
-        if placed tid then n_placed := !n_placed + ist.is_explicit.(graph_of.(tid))
-      done;
-      Some
-        {
-          c_pops = Array.make (max 0 (!n_placed - cut)) 0;
-          c_cpu = Array.init n_pe_insts (fun _ -> Ibuf.create ());
-          c_link = Array.init n_link_insts (fun _ -> Ibuf.create ());
-        }
-    end
+  let rc =
+    let n_placed = ref 0 in
+    for tid = 0 to Spec.n_tasks spec - 1 do
+      if placed tid then n_placed := !n_placed + ist.is_explicit.(graph_of.(tid))
+    done;
+    {
+      c_pops = Array.make (max 0 (!n_placed - cut)) 0;
+      c_cpu = Array.init n_pe_insts (fun _ -> Ibuf.create ());
+      c_link = Array.init n_link_insts (fun _ -> Ibuf.create ());
+    }
   in
   let step = ref 0 and late = ref 0 in
-  let note_activity graph s f =
-    if materialize && f > s then
-      graph_activity.(graph) <- (s, f) :: graph_activity.(graph)
-  in
   (* Dependency counting over placed tasks only. *)
   let indegree = Array.make total 0 in
   Array.iter
@@ -677,19 +650,16 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
         g.edges)
     spec.graphs;
   (* Prefix replay: fast-forward through the recorded steps below the
-     cut.  A step's activity is its execution window plus the link
-     transfers logged under its step. *)
+     cut. *)
   (match replay with
   | None -> ()
   | Some (r, s_stop) ->
       step := s_stop;
-      let step_graph k = graph_of.(i_task.(r.r_pop_inst.(k))) in
       for k = 0 to s_stop - 1 do
         let idx = r.r_pop_inst.(k) in
         starts.(idx) <- r.r_pop_start.(k);
         finishes.(idx) <- r.r_pop_finish.(k);
         late := !late + max 0 (r.r_pop_finish.(k) - r.r_pop_deadline.(k));
-        note_activity (step_graph k) r.r_pop_start.(k) r.r_pop_finish.(k);
         let tid = i_task.(idx) and copy = i_copy.(idx) in
         List.iter
           (fun (e : Edge.t) ->
@@ -701,12 +671,11 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
       done;
       (* Timelines: the per-resource logs are sorted by start, so the
          filtered prefix rebuilds via [Timeline.append] in O(prefix). *)
-      let replay_log3 ~link get_timeline (log : int array) =
+      let replay_log3 get_timeline (log : int array) =
         let m = Array.length log / 3 in
         let tl = ref None in
         for j = 0 to m - 1 do
-          let k = log.((3 * j) + 2) in
-          if k < s_stop then begin
+          if log.((3 * j) + 2) < s_stop then begin
             let t =
               match !tl with
               | Some t -> t
@@ -715,21 +684,19 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
                   tl := Some t;
                   t
             in
-            let s = log.(3 * j) and f = log.((3 * j) + 1) in
-            Timeline.append t s f;
-            if link then note_activity (step_graph k) s f
+            Timeline.append t log.(3 * j) log.((3 * j) + 1)
           end
         done
       in
       let np = min (Array.length r.r_cpu_logs) n_pe_insts in
       for p = 0 to np - 1 do
         if Array.length r.r_cpu_logs.(p) > 0 then
-          replay_log3 ~link:false (fun () -> cpu_timeline p) r.r_cpu_logs.(p)
+          replay_log3 (fun () -> cpu_timeline p) r.r_cpu_logs.(p)
       done;
       let nl = min (Array.length r.r_link_logs) n_link_insts in
       for l = 0 to nl - 1 do
         if Array.length r.r_link_logs.(l) > 0 then
-          replay_log3 ~link:true (fun () -> link_timeline l) r.r_link_logs.(l)
+          replay_log3 (fun () -> link_timeline l) r.r_link_logs.(l)
       done;
       (* PPE windows: the log is already in final window order (start,
          then commit order); the prefix subsequence keeps exactly the
@@ -769,8 +736,8 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
      worst-case downstream path); levels break ties within a deadline,
      and the instance index makes the order total — so ANY correct
      min-heap pops the same sequence, and this specialized one inlines
-     the comparison the generic [Pqueue] paid an indirect call for on
-     every sift step of the innermost loop. *)
+     the comparison instead of paying an indirect call for it on every
+     sift step of the innermost loop. *)
   (* Per-instance priority level, precomputed so the sift loops load one
      array instead of chasing [levels.(i_task.(_))]. *)
   let i_level = Array.make total 0 in
@@ -919,14 +886,12 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
                     Timeline.insert (link_timeline l.Arch.l_id) ~ready:src_fin
                       ~duration:comm
                   in
-                  (match recorder with
-                  | Some rc when f > s ->
-                      let lb = rc.c_link.(l.Arch.l_id) in
-                      Ibuf.push lb s;
-                      Ibuf.push lb f;
-                      Ibuf.push lb !step
-                  | Some _ | None -> ());
-                  note_activity graph_of.(tid) s f;
+                  if f > s then begin
+                    let lb = rc.c_link.(l.Arch.l_id) in
+                    Ibuf.push lb s;
+                    Ibuf.push lb f;
+                    Ibuf.push lb !step
+                  end;
                   (match pe_type.Pe.pe_class with
                   | Pe.General_purpose cpu when not cpu.has_communication_processor ->
                       copy_overhead :=
@@ -940,22 +905,15 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
     in
     let start, finish =
       match pe_type.Pe.pe_class with
-      | Pe.General_purpose cpu -> (
-          let tl = cpu_timeline pe.Arch.p_id in
-          match recorder with
-          | Some rc ->
-              let cb = rc.c_cpu.(pe.Arch.p_id) in
-              Timeline.insert_preemptible tl ~ready
-                ~duration:(duration + !copy_overhead)
-                ~max_chunks:3 ~chunk_penalty:cpu.preemption_overhead_us
-                ~on_commit:(fun s f ->
-                  Ibuf.push cb s;
-                  Ibuf.push cb f;
-                  Ibuf.push cb !step)
-          | None ->
-              Timeline.insert_preemptible tl ~ready
-                ~duration:(duration + !copy_overhead)
-                ~max_chunks:3 ~chunk_penalty:cpu.preemption_overhead_us)
+      | Pe.General_purpose cpu ->
+          let cb = rc.c_cpu.(pe.Arch.p_id) in
+          Timeline.insert_preemptible (cpu_timeline pe.Arch.p_id) ~ready
+            ~duration:(duration + !copy_overhead)
+            ~max_chunks:3 ~chunk_penalty:cpu.preemption_overhead_us
+            ~on_commit:(fun s f ->
+              Ibuf.push cb s;
+              Ibuf.push cb f;
+              Ibuf.push cb !step)
       | Pe.Asic_pe _ -> (ready, ready + duration)
       | Pe.Programmable _ ->
           let st = ppe_state pe in
@@ -966,8 +924,7 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
     starts.(idx) <- start;
     finishes.(idx) <- finish;
     late := !late + max 0 (finish - i_deadline.(idx));
-    note_activity graph_of.(tid) start finish;
-    (match recorder with Some rc -> rc.c_pops.(!step - cut) <- idx | None -> ());
+    rc.c_pops.(!step - cut) <- idx;
     incr step;
     (* Release successors. *)
     List.iter
@@ -988,79 +945,27 @@ let exec ~copy_cap ~materialize ~record ~(replay : (recording * int) option)
       Error (Printf.sprintf "no link between PE %d and PE %d" a b)
   | () ->
       let verdict = { v_tardiness = !late; v_met = !late = 0; v_scheduled = !step } in
-      let sched =
-        if not materialize then None
-        else begin
-          let instances =
-            Array.init total (fun idx ->
-                {
-                  i_task = i_task.(idx);
-                  i_copy = i_copy.(idx);
-                  arrival = i_arrival.(idx);
-                  abs_deadline = i_deadline.(idx);
-                  start = starts.(idx);
-                  finish = finishes.(idx);
-                })
-          in
-          (* Graph activity over the whole hyperperiod: explicit windows
-             plus a conservative covering interval for the extrapolated
-             copies. *)
-          let graph_windows =
-            Array.mapi
-              (fun gi acts ->
-                let g = spec.graphs.(gi) in
-                let copies = Spec.copies spec g in
-                let acts =
-                  if copies > ist.is_explicit.(gi) && acts <> [] then begin
-                    let horizon_start = g.est + (ist.is_explicit.(gi) * g.period) in
-                    (horizon_start, g.est + (copies * g.period)) :: acts
-                  end
-                  else acts
-                in
-                Intervals.of_list acts)
-              graph_activity
-          in
-          let mode_switches = Array.make n_pe_insts 0 in
-          Array.iteri
-            (fun pe_id st ->
-              match st with
-              | Some st -> mode_switches.(pe_id) <- count_switches st
-              | None -> ())
-            ppe_states;
+      let tail =
+        if !heap_n > 0 then None
+        else
           Some
             {
-              instances;
-              hyperperiod = Spec.hyperperiod spec;
-              deadlines_met = verdict.v_met;
-              total_tardiness = !late;
-              graph_windows;
-              mode_switches;
-              scheduled_tasks = !step;
+              t_base = Option.map fst replay;
+              t_cut = cut;
+              t_steps = !step;
+              t_start = starts;
+              t_finish = finishes;
+              t_spec = spec;
+              t_clustering = clustering;
+              t_copy_cap = copy_cap;
+              t_arch = arch;
+              t_site_pe = site_pe;
+              t_site_mode = site_mode;
+              t_levels = levels;
+              t_rc = rc;
             }
-        end
       in
-      let tail =
-        match recorder with
-        | Some rc when !heap_n = 0 ->
-            Some
-              {
-                t_base = Option.map fst replay;
-                t_cut = cut;
-                t_steps = !step;
-                t_start = starts;
-                t_finish = finishes;
-                t_spec = spec;
-                t_clustering = clustering;
-                t_copy_cap = copy_cap;
-                t_arch = arch;
-                t_site_pe = site_pe;
-                t_site_mode = site_mode;
-                t_levels = levels;
-                t_rc = rc;
-              }
-        | Some _ | None -> None
-      in
-      Ok { x_verdict = verdict; x_sched = sched; x_tail = tail }
+      Ok (verdict, tail)
 
 (* The full recording of the run that produced [t]: the replayed basis
    prefix, then the tail.  The pops are the basis's first [t_cut]
@@ -1339,22 +1244,11 @@ let replay_cut (r : recording) (spec : Spec.t) (arch : Arch.t) ~site_pe ~site_mo
     !s
   end
 
-let run ?(copy_cap = default_copy_cap) (spec : Spec.t) (clustering : Clustering.t)
-    (arch : Arch.t) =
-  let site_pe, site_mode = site_arrays spec clustering arch in
-  let levels = priorities spec clustering arch in
-  match
-    exec ~copy_cap ~materialize:true ~record:false ~replay:None spec clustering
-      arch ~site_pe ~site_mode ~levels
-  with
-  | Error _ as e -> e
-  | Ok out -> Ok (Option.get out.x_sched)
-
-(* The incremental engine's low-level interface: capture a recording
-   alongside a full run, diff a candidate architecture against it, and
-   replay the provably unchanged prefix.  [Incremental] wraps this with
-   a policy; the raw operations stay exposed for the differential tests
-   and the fuzzer's self-test. *)
+(* The incremental engine's low-level interface: record a run, diff a
+   candidate architecture against a recording, replay the provably
+   unchanged prefix, and read a schedule off a recording.  [Incremental]
+   wraps this with a policy; the raw operations stay exposed for the
+   differential tests and the fuzzer's self-test. *)
 module Replay = struct
   type nonrec recording = recording
 
@@ -1364,31 +1258,88 @@ module Replay = struct
       (clustering : Clustering.t) =
     r.r_spec == spec && r.r_clustering == clustering && r.r_copy_cap = copy_cap
 
-  let record ?(copy_cap = default_copy_cap) (spec : Spec.t)
-      (clustering : Clustering.t) (arch : Arch.t) =
-    let site_pe, site_mode = site_arrays spec clustering arch in
-    let levels = priorities spec clustering arch in
-    match
-      exec ~copy_cap ~materialize:true ~record:true ~replay:None spec clustering
-        arch ~site_pe ~site_mode ~levels
-    with
-    | Error _ as e -> e
-    | Ok out -> Ok (Option.get out.x_sched, splice (Option.get out.x_tail))
-
-  (* Recording capture without schedule materialization, for a caller
-     that only needs a basis (a warm re-synthesis seeding its
-     evaluator): building the instance records and activity intervals
-     there is pure waste. *)
   let record_only ?(copy_cap = default_copy_cap) (spec : Spec.t)
       (clustering : Clustering.t) (arch : Arch.t) =
     let site_pe, site_mode = site_arrays spec clustering arch in
     let levels = priorities spec clustering arch in
-    match
-      exec ~copy_cap ~materialize:false ~record:true ~replay:None spec
-        clustering arch ~site_pe ~site_mode ~levels
-    with
+    match exec ~copy_cap ~replay:None spec clustering arch ~site_pe ~site_mode ~levels with
     | Error _ as e -> e
-    | Ok out -> Ok (splice (Option.get out.x_tail))
+    | Ok (_, tail) -> Ok (splice (Option.get tail))
+
+  (* The one place a schedule is built.  Each instance's start and
+     finish come from its pop (-1 when unscheduled).  A graph's activity
+     is its steps' execution windows plus the link transfers logged
+     under its steps, with a covering interval for the copies past the
+     cap; [Intervals.of_list] normalizes, so the order the windows are
+     collected in does not matter.  A PPE's mode switches are the mode
+     alternations along its log, which is in final window order. *)
+  let schedule (r : recording) =
+    let spec = r.r_spec in
+    let ss = spec_static spec in
+    let ist = inst_static ss ~copy_cap:r.r_copy_cap in
+    let starts = Array.make ist.is_total (-1)
+    and finishes = Array.make ist.is_total (-1) in
+    let late = ref 0 in
+    let acts = Array.make (Spec.n_graphs spec) [] in
+    let note k s f =
+      if f > s then begin
+        let g = ss.ss_graph_of.(ist.is_task.(r.r_pop_inst.(k))) in
+        acts.(g) <- (s, f) :: acts.(g)
+      end
+    in
+    for k = 0 to r.r_steps - 1 do
+      let idx = r.r_pop_inst.(k) and s = r.r_pop_start.(k) and f = r.r_pop_finish.(k) in
+      starts.(idx) <- s;
+      finishes.(idx) <- f;
+      late := !late + max 0 (f - r.r_pop_deadline.(k));
+      note k s f
+    done;
+    Array.iter
+      (fun log ->
+        for j = 0 to (Array.length log / 3) - 1 do
+          note log.((3 * j) + 2) log.(3 * j) log.((3 * j) + 1)
+        done)
+      r.r_link_logs;
+    let graph_windows =
+      Array.mapi
+        (fun gi acts ->
+          let g = spec.graphs.(gi) in
+          let copies = Spec.copies spec g in
+          let explicit = ist.is_explicit.(gi) in
+          if copies > explicit && acts <> [] then
+            Intervals.of_list
+              ((g.est + (explicit * g.period), g.est + (copies * g.period)) :: acts)
+          else Intervals.of_list acts)
+        acts
+    in
+    let mode_switches =
+      Array.map
+        (fun log ->
+          let n = ref 0 in
+          for j = 1 to (Array.length log / 4) - 1 do
+            if log.(4 * j) <> log.(4 * (j - 1)) then incr n
+          done;
+          !n)
+        r.r_ppe_logs
+    in
+    {
+      instances =
+        Array.init ist.is_total (fun idx ->
+            {
+              i_task = ist.is_task.(idx);
+              i_copy = ist.is_copy.(idx);
+              arrival = ist.is_arrival.(idx);
+              abs_deadline = ist.is_deadline.(idx);
+              start = starts.(idx);
+              finish = finishes.(idx);
+            });
+      hyperperiod = ss.ss_hyperperiod;
+      deadlines_met = !late = 0;
+      total_tardiness = !late;
+      graph_windows;
+      mode_switches;
+      scheduled_tasks = r.r_steps;
+    }
 
   type prep = {
     p_recording : recording;
@@ -1419,25 +1370,14 @@ module Replay = struct
 
   let cut p = p.p_cut
 
-  let replay_verdict ?limit p =
-    match
-      exec ~copy_cap:p.p_recording.r_copy_cap ~materialize:false ~record:false
-        ~replay:(Some (p.p_recording, p.p_cut)) ?limit p.p_spec p.p_clustering
-        p.p_arch ~site_pe:p.p_site_pe ~site_mode:p.p_site_mode ~levels:p.p_levels
-    with
-    | Error _ as e -> e
-    | Ok out -> Ok out.x_verdict
-
   type nonrec tail = tail
 
   let replay_tail ?limit p =
-    match
-      exec ~copy_cap:p.p_recording.r_copy_cap ~materialize:false ~record:true
-        ~replay:(Some (p.p_recording, p.p_cut)) ?limit p.p_spec p.p_clustering
-        p.p_arch ~site_pe:p.p_site_pe ~site_mode:p.p_site_mode ~levels:p.p_levels
-    with
-    | Error _ as e -> e
-    | Ok out -> Ok (out.x_verdict, out.x_tail)
+    exec ~copy_cap:p.p_recording.r_copy_cap ~replay:(Some (p.p_recording, p.p_cut))
+      ?limit p.p_spec p.p_clustering p.p_arch ~site_pe:p.p_site_pe
+      ~site_mode:p.p_site_mode ~levels:p.p_levels
+
+  let replay_verdict ?limit p = Result.map fst (replay_tail ?limit p)
 
   let splice = splice
 
@@ -1466,15 +1406,6 @@ module Replay = struct
     && same_ids a.r_link_types b.r_link_types
     && a.r_link_attached = b.r_link_attached
 
-  let replay_run p =
-    match
-      exec ~copy_cap:p.p_recording.r_copy_cap ~materialize:true ~record:false
-        ~replay:(Some (p.p_recording, p.p_cut)) p.p_spec p.p_clustering p.p_arch
-        ~site_pe:p.p_site_pe ~site_mode:p.p_site_mode ~levels:p.p_levels
-    with
-    | Error _ as e -> e
-    | Ok out -> Ok (Option.get out.x_sched)
-
   (* Damage the recording so a subsequent replay that includes the
      corrupted step diverges from a fresh run: proves the differential
      harness can detect a broken replay.  [step] selects which pop to
@@ -1491,6 +1422,8 @@ module Replay = struct
     end
 end
 
+let run ?copy_cap spec clustering arch =
+  Result.map Replay.schedule (Replay.record_only ?copy_cap spec clustering arch)
 
 (* An admissible lower bound on [run]'s total tardiness,
    O(V + E + I log I) with no timeline construction.

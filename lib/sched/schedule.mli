@@ -13,10 +13,12 @@
       mode: windows of different modes may not overlap, and switching
       modes costs the reboot task (Section 4.3).
 
-    The same run yields finish-time estimation (deadline check and total
-    tardiness), the per-graph activity windows used for compatibility
-    detection (Fig. 3), and the per-device mode windows and switch counts
-    used by reconfiguration generation. *)
+    A run's one output is a recording of its steps ({!Replay}).  Its
+    verdict gives finish-time estimation (deadline check and total
+    tardiness); {!Replay.schedule} reads the full schedule off it: the
+    per-graph activity windows used for compatibility detection
+    (Fig. 3) and the per-device mode switch counts used by
+    reconfiguration generation. *)
 
 type instance = {
   i_task : int;  (** global task id *)
@@ -50,9 +52,10 @@ val run :
   Crusade_cluster.Clustering.t ->
   Crusade_alloc.Arch.t ->
   (t, string) result
-(** Schedules every task whose cluster is placed in the architecture.
-    Fails only when two communicating placed tasks sit on PEs with no
-    connecting link (a broken allocation). *)
+(** Schedules every task whose cluster is placed in the architecture:
+    {!Replay.schedule} of {!Replay.record_only}.  Fails only when two
+    communicating placed tasks sit on PEs with no connecting link (a
+    broken allocation). *)
 
 val estimate :
   ?copy_cap:int ->
@@ -67,7 +70,7 @@ val estimate :
     - [estimate] is [Error] exactly when [run] is (two communicating
       placed tasks on unconnected PEs).
     The synthesis flow no longer calls it: candidate evaluation stops
-    the replay itself once a candidate loses ({!Replay.replay_verdict}'s
+    the replay itself once a candidate loses ({!Replay.replay_tail}'s
     [limit]; DESIGN.md "Bounded replay").  Kept for the per-call timing
     probe of the benchmark. *)
 
@@ -86,20 +89,20 @@ type verdict = {
   v_scheduled : int;  (** {!t}[.scheduled_tasks] *)
 }
 (** What candidate evaluation actually consumes from a schedule.  The
-    incremental engine returns verdicts without materializing instance
-    records, activity windows or mode-switch counts. *)
+    incremental engine returns a verdict per trial and reads a full
+    schedule only for the architectures a synthesis keeps. *)
 
 (** Low-level record/replay interface of the incremental engine (see
-    DESIGN.md "Incremental rescheduling").  [record] captures, alongside
-    a normal run, the pop sequence and the exact resource reservations of
-    every step plus a snapshot of everything the scheduler read from the
-    architecture.  [prepare] diffs a candidate architecture against that
-    snapshot and computes the provably identical prefix; [replay_verdict]
-    / [replay_run] fast-forward through it and schedule only the
-    remainder, and [replay_tail] also records that remainder, which
-    [splice] turns into the candidate's own recording.  Exposed for
-    {!Incremental} (the policy layer), the differential tests and the
-    fuzzer's self-test. *)
+    DESIGN.md "Incremental rescheduling").  A recording holds a run's
+    pop sequence and the exact resource reservations of every step, plus
+    a snapshot of everything the scheduler read from the architecture.
+    [record_only] records a full run; [schedule] reads the schedule off
+    a recording.  [prepare] diffs a candidate architecture against a
+    recording's snapshot and computes the provably identical prefix;
+    [replay_tail] fast-forwards through it, schedules and records only
+    the remainder, which [splice] turns into the candidate's own
+    recording.  Exposed for {!Incremental} (the policy layer), the
+    differential tests and the fuzzer's self-test. *)
 module Replay : sig
   type recording
 
@@ -115,26 +118,25 @@ module Replay : sig
   (** A recording only applies to the same spec and clustering (by
       physical identity) and the same copy cap it was captured with. *)
 
-  val record :
-    ?copy_cap:int ->
-    Crusade_taskgraph.Spec.t ->
-    Crusade_cluster.Clustering.t ->
-    Crusade_alloc.Arch.t ->
-    (t * recording, string) result
-  (** Runs the scheduler exactly as {!run} does while capturing a
-      recording of the run.  The schedule returned is bit-identical to
-      {!run}'s. *)
-
   val record_only :
     ?copy_cap:int ->
     Crusade_taskgraph.Spec.t ->
     Crusade_cluster.Clustering.t ->
     Crusade_alloc.Arch.t ->
     (recording, string) result
-  (** Like {!record} but skips schedule materialization (no instance
-      records, activity intervals or mode-switch counts are built).  For
-      a caller that needs a basis for an architecture no replay has
-      scheduled: a warm re-synthesis seeding its evaluator. *)
+  (** Runs the scheduler from scratch and returns its recording; fails
+      exactly when {!run} does.  For a caller that needs a basis for an
+      architecture no replay has scheduled: an evaluator's first
+      evaluation, or a warm re-synthesis seeding its evaluator. *)
+
+  val schedule : recording -> t
+  (** The schedule of the run the recording describes: starts and
+      finishes from the pops (-1 when unscheduled), tardiness summed
+      over them, each graph's windows from its steps' executions and
+      the link transfers logged under its steps, each PPE's mode
+      switches from its windows in final order.  The one function that
+      builds a {!t}; a spliced recording reads off exactly as a fresh
+      one of the same architecture. *)
 
   type prep
 
@@ -151,31 +153,25 @@ module Replay : sig
   (** Steps of the recording that will be replayed verbatim — equals
       {!steps} when the candidate provably schedules identically. *)
 
-  val replay_verdict : ?limit:int -> prep -> (verdict, string) result
-  (** Replays the prefix and schedules the remainder, returning only the
-      verdict (no instance records, activity windows or mode-switch
-      counts are materialized).  Bit-identical to the verdict of a fresh
-      {!run} against the same architecture whenever that run's
-      tardiness is at most [limit] (non-negative; default unbounded).
-      Otherwise the
-      replay may stop as soon as the tardiness of the instances
-      scheduled so far exceeds [limit]: it then reports that partial
-      tardiness (above [limit], at most the full run's) with
-      [v_met = false] and the steps taken so far, and returns [Ok] even
-      where the full run would have failed on a disconnected edge it
-      never reached. *)
-
-  val replay_run : prep -> (t, string) result
-  (** Like {!replay_verdict} but materializes the full schedule;
-      bit-identical to a fresh {!run}. *)
-
   type tail
   (** The steps a replay list-scheduled itself, with their resource
       reservations, on top of the recording prefix it replayed. *)
 
   val replay_tail : ?limit:int -> prep -> (verdict * tail option, string) result
-  (** {!replay_verdict} that also records its tail: [Some] when the run
-      scheduled every instance, [None] when [limit] stopped it. *)
+  (** Replays the prefix, then schedules and records the remainder.
+      The verdict is bit-identical to that of a fresh {!run} against the
+      same architecture whenever that run's tardiness is at most [limit]
+      (non-negative; default unbounded).  Otherwise the replay may stop
+      as soon as the tardiness of the instances scheduled so far
+      exceeds [limit]: it then reports that partial tardiness (above
+      [limit], at most the full run's) with [v_met = false] and the
+      steps taken so far, and returns [Ok] even where the full run
+      would have failed on a disconnected edge it never reached.  The
+      tail is [Some] when the run scheduled every instance, [None] when
+      [limit] stopped it. *)
+
+  val replay_verdict : ?limit:int -> prep -> (verdict, string) result
+  (** {!replay_tail}'s verdict. *)
 
   val splice : tail -> recording
   (** The recording of the replayed candidate, equal field for field to

@@ -18,8 +18,6 @@ let busy t =
   in
   build (t.n - 1) []
 
-let busy_until t = if t.n = 0 then 0 else t.stops.(t.n - 1)
-
 (* First index whose interval ends after [time]; earlier intervals can
    neither host nor delay work that is ready at [time]. *)
 let first_active t time =

@@ -42,9 +42,6 @@ val append : t -> int -> int -> unit
 val busy : t -> (int * int) list
 (** Current reservations, sorted and disjoint. *)
 
-val busy_until : t -> int
-(** End of the last reservation; 0 when empty. *)
-
 val probe : t -> ready:int -> duration:int -> int * int
 (** Like {!insert} but without reserving: used to compare candidate
     links before committing to the best one. *)

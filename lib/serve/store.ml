@@ -121,5 +121,3 @@ let log_of t job = locked t (fun () -> List.rev job.log)
 let count_in t s =
   locked t (fun () ->
       Hashtbl.fold (fun _ j acc -> if j.state = s then acc + 1 else acc) t.jobs 0)
-
-let n_jobs t = locked t (fun () -> Hashtbl.length t.jobs)

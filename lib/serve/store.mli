@@ -66,4 +66,3 @@ val log_of : t -> job -> (float * state) list
 (** The transition log, oldest first. *)
 
 val count_in : t -> state -> int
-val n_jobs : t -> int

@@ -1,5 +1,1 @@
 type t = { id : int; src : int; dst : int; bytes : int }
-
-let comm_vector t ~access ~n_link_types =
-  Array.init n_link_types (fun link_type ->
-      access ~link_type ~ports:4 ~bytes:t.bytes)

@@ -11,8 +11,3 @@ type t = {
   dst : int;  (** global task id of the consumer *)
   bytes : int;
 }
-
-val comm_vector : t -> access:(link_type:int -> ports:int -> bytes:int -> int) ->
-  n_link_types:int -> int array
-(** A-priori communication vector using the library's average port count;
-    [access] is typically [Resource.Link.comm_time] partially applied. *)

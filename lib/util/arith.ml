@@ -19,5 +19,3 @@ let ceil_div a b =
   (a + b - 1) / b
 
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-
-let clamp_float ~lo ~hi x = if x < lo then lo else if x > hi then hi else x

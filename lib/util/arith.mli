@@ -16,5 +16,3 @@ val ceil_div : int -> int -> int
 (** [ceil_div a b] is the smallest [k] with [k * b >= a], for [b > 0]. *)
 
 val clamp : lo:int -> hi:int -> int -> int
-
-val clamp_float : lo:float -> hi:float -> float -> float

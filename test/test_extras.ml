@@ -297,62 +297,3 @@ let suite =
     Alcotest.test_case "upgrade by reprogramming" `Quick upgrade_reprogramming_only;
     Alcotest.test_case "upgrade needs hardware" `Quick upgrade_needs_hardware_when_full;
   ]
-
-(* --- Image --- *)
-
-module Image = Crusade_reconfig.Image
-
-let image_manifest_figure2 () =
-  let spec = Ex.figure2 lib in
-  let r = Helpers.synthesize spec in
-  let images = Image.manifest spec r.C.clustering r.C.arch in
-  check Alcotest.int "one image per mode" r.C.n_modes (List.length images);
-  List.iter
-    (fun (img : Image.image) ->
-      (* image fills the device's boot PROM exactly *)
-      check Alcotest.int "image size = boot memory"
-        ((40_000 + 7) / 8)
-        (String.length img.Image.bytes);
-      check Alcotest.bool "magic header" true
-        (String.sub img.Image.bytes 0 4 = "CRSD"))
-    images;
-  (* distinct modes carry distinct configurations *)
-  let crcs = List.map (fun (i : Image.image) -> i.Image.crc) images in
-  check Alcotest.int "distinct CRCs" (List.length crcs)
-    (List.length (List.sort_uniq compare crcs))
-
-let image_deterministic () =
-  let spec = Ex.figure2 lib in
-  let r = Helpers.synthesize spec in
-  let a = Image.manifest spec r.C.clustering r.C.arch in
-  let b = Image.manifest spec r.C.clustering r.C.arch in
-  List.iter2
-    (fun (x : Image.image) (y : Image.image) ->
-      check Alcotest.bool "same bytes" true (x.Image.bytes = y.Image.bytes))
-    a b
-
-let crc16_known_vector () =
-  (* CRC-16/CCITT-FALSE of "123456789" is 0x29B1 *)
-  check Alcotest.int "check vector" 0x29B1 (Image.crc16 "123456789")
-
-let image_crc_detects_corruption () =
-  let spec = Ex.figure2 lib in
-  let r = Helpers.synthesize spec in
-  match Image.manifest spec r.C.clustering r.C.arch with
-  | img :: _ ->
-      let body = String.sub img.Image.bytes 0 (String.length img.Image.bytes - 2) in
-      check Alcotest.int "stored CRC matches body" img.Image.crc (Image.crc16 body);
-      let corrupted = "X" ^ String.sub body 1 (String.length body - 1) in
-      check Alcotest.bool "corruption changes CRC" true
-        (Image.crc16 corrupted <> img.Image.crc)
-  | [] -> Alcotest.fail "figure2 has images"
-
-let extra_suite =
-  [
-    Alcotest.test_case "image manifest" `Quick image_manifest_figure2;
-    Alcotest.test_case "image deterministic" `Quick image_deterministic;
-    Alcotest.test_case "crc16 vector" `Quick crc16_known_vector;
-    Alcotest.test_case "image crc detects corruption" `Quick image_crc_detects_corruption;
-  ]
-
-let suite = suite @ extra_suite

@@ -124,12 +124,20 @@ let assert_replay_exact ?(copy_cap = Schedule.default_copy_cap) name spec
           (Schedule.Replay.replay_verdict ~limit prep = Ok v);
         Ok v
   in
-  (match Schedule.Replay.replay_tail prep with
+  let unbounded = Schedule.Replay.replay_tail prep in
+  (match unbounded with
   | Ok (v, tail) -> check_tail (name ^ ": unbounded") v tail
   | Error _ -> ());
+  (* The schedule a replay keeps: its tail spliced and read off. *)
+  let replayed =
+    Result.map
+      (fun (_, tail) ->
+        Schedule.Replay.schedule (Schedule.Replay.splice (Option.get tail)))
+      unbounded
+  in
   match
     ( Schedule.run ~copy_cap spec clustering arch,
-      Schedule.Replay.replay_run prep,
+      replayed,
       Schedule.Replay.replay_verdict prep )
   with
   | Ok fresh, Ok replayed, Ok verdict ->
@@ -154,7 +162,7 @@ let assert_replay_exact ?(copy_cap = Schedule.default_copy_cap) name spec
                 (stopped limit v && v.Schedule.v_tardiness <= t))
         (List.filter (fun limit -> limit >= 0) [ 0; t / 2; t - 1; t ])
   | Error e_fresh, Error e_run, Error e_verdict ->
-      check Alcotest.string (name ^ ": replay_run fails identically") e_fresh e_run;
+      check Alcotest.string (name ^ ": replay fails identically") e_fresh e_run;
       check Alcotest.string (name ^ ": replay_verdict fails identically") e_fresh e_verdict;
       List.iter
         (fun limit ->
@@ -175,8 +183,8 @@ let assert_replay_exact ?(copy_cap = Schedule.default_copy_cap) name spec
 let record_perturb_check ?(copy_cap = Schedule.default_copy_cap) name spec
     clustering arch perturb =
   let recording =
-    match Schedule.Replay.record ~copy_cap spec clustering arch with
-    | Ok (_, r) -> r
+    match Schedule.Replay.record_only ~copy_cap spec clustering arch with
+    | Ok r -> r
     | Error msg -> Alcotest.failf "%s: record failed: %s" name msg
   in
   assert_replay_exact ~copy_cap (name ^ " (identity)") spec clustering arch
@@ -285,8 +293,8 @@ let replay_exact_under_perturbation =
       let arch = Arch.create lib in
       place_all spec clustering arch;
       let recording =
-        match Schedule.Replay.record spec clustering arch with
-        | Ok (_, r) -> r
+        match Schedule.Replay.record_only spec clustering arch with
+        | Ok r -> r
         | Error msg -> QCheck.Test.fail_reportf "record failed: %s" msg
       in
       let rng = Random.State.make [| seed |] in

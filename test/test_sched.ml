@@ -252,38 +252,58 @@ let schedule_hw_concurrency () =
         sched.Schedule.instances;
       ignore (t0, t1)
 
-let schedule_mode_serialization_with_boot () =
-  (* Two compatible graphs in different modes of one device: the second
-     window must wait for the reboot after the first. *)
-  let spec, t1, t2 = Helpers.two_hw_graphs ~overlap:false () in
+(* Two single-task FPGA graphs in the two modes of one device with a
+   6 ms boot: g1 arrives at 0 with period [g1_period], g2 at 10_000
+   with period 40_000.  Returns the schedule and the two tasks. *)
+let schedule_two_modes ~g1_period =
+  let b = Spec.Builder.create () in
+  let tasks =
+    List.mapi
+      (fun k (est, period) ->
+        let g =
+          Spec.Builder.add_graph b ~name:(Printf.sprintf "g%d" (k + 1)) ~period ~est
+            ~deadline:5_000 ()
+        in
+        Spec.Builder.add_task b ~graph:g ~name:(Printf.sprintf "t%d" (k + 1))
+          ~exec:(Helpers.fpga_exec 3_000) ~gates:80 ~pins:8 ())
+      [ (0, g1_period); (10_000, 40_000) ]
+  in
+  let spec = Spec.Builder.finish_exn b ~name:"modes" () in
   let clustering = Clustering.singletons spec lib in
   let arch = Arch.create lib in
   let pe = Arch.add_pe arch (Library.pe lib 3) in
   (* force a noticeable boot time *)
   pe.Arch.boot_full_us <- 6_000;
-  let mode0 = Crusade_util.Vec.get pe.Arch.modes 0 in
-  let mode1 = Arch.add_mode arch pe in
-  let c1 = clustering.Clustering.clusters.(clustering.Clustering.of_task.(t1)) in
-  let c2 = clustering.Clustering.clusters.(clustering.Clustering.of_task.(t2)) in
-  (match
-     ( Arch.place_cluster arch spec clustering c1 ~pe ~mode:mode0,
-       Arch.place_cluster arch spec clustering c2 ~pe ~mode:mode1 )
-   with
-  | Ok (), Ok () -> ()
-  | Error m, _ | _, Error m -> Alcotest.fail m);
+  let mode_of = [| Crusade_util.Vec.get pe.Arch.modes 0; Arch.add_mode arch pe |] in
+  List.iteri
+    (fun m t ->
+      let c = clustering.Clustering.clusters.(clustering.Clustering.of_task.(t)) in
+      match Arch.place_cluster arch spec clustering c ~pe ~mode:mode_of.(m) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg)
+    tasks;
   match Schedule.run spec clustering arch with
   | Error m -> Alcotest.fail m
-  | Ok sched ->
-      let inst t =
-        Array.to_list sched.Schedule.instances
-        |> List.find (fun (i : Schedule.instance) -> i.i_task = t)
-      in
-      let i1 = inst t1 and i2 = inst t2 in
-      (* g2 arrives at 10_000 but g1's window [0,3000] plus 6ms boot push
-         the second mode to 9_000 at the earliest; arrival already covers
-         that, so what matters is the boot margin *)
-      check Alcotest.bool "boot respected" true (i2.start >= i1.finish + 6_000);
-      check Alcotest.int "one reconfiguration" 1 sched.Schedule.mode_switches.(0)
+  | Ok sched -> (sched, tasks)
+
+let schedule_mode_serialization_with_boot () =
+  (* Two compatible graphs in different modes of one device: the second
+     window must wait for the reboot after the first. *)
+  let sched, tasks = schedule_two_modes ~g1_period:40_000 in
+  let inst t =
+    Array.to_list sched.Schedule.instances
+    |> List.find (fun (i : Schedule.instance) -> i.i_task = t)
+  in
+  let i1 = inst (List.nth tasks 0) and i2 = inst (List.nth tasks 1) in
+  (* g2 arrives at 10_000 but g1's window [0,3000] plus 6ms boot push
+     the second mode to 9_000 at the earliest; arrival already covers
+     that, so what matters is the boot margin *)
+  check Alcotest.bool "boot respected" true (i2.start >= i1.finish + 6_000);
+  check Alcotest.int "one reconfiguration" 1 sched.Schedule.mode_switches.(0);
+  (* A second copy of g1 at 20_000 puts the windows in modes 0, 1, 0:
+     each alternation is a reconfiguration. *)
+  let sched, _ = schedule_two_modes ~g1_period:20_000 in
+  check Alcotest.int "alternating modes" 2 sched.Schedule.mode_switches.(0)
 
 let schedule_disconnected_edge_error () =
   let spec, _ = Helpers.sw_chain 2 in
@@ -325,7 +345,14 @@ let schedule_comm_on_link_delays () =
       in
       let producer = inst (List.nth ids 0) and consumer = inst (List.nth ids 1) in
       check Alcotest.bool "communication adds latency" true
-        (consumer.start > producer.finish)
+        (consumer.start > producer.finish);
+      (* The transfer fills that gap, so the graph is active without a
+         break from the producer's start to the consumer's finish: its
+         window counts the link, not only the CPUs. *)
+      check
+        Alcotest.(list (pair int int))
+        "one window spans the transfer" [ (producer.start, consumer.finish) ]
+        (Crusade_util.Intervals.to_list sched.Schedule.graph_windows.(0))
 
 let priorities_allocated_uses_actual_exec () =
   let spec, ids = Helpers.sw_chain ~exec:100 1 in

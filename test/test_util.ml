@@ -1,10 +1,8 @@
 (* Unit and property tests for crusade_util. *)
 
 module Rng = Crusade_util.Rng
-module Pqueue = Crusade_util.Pqueue
 module Arith = Crusade_util.Arith
 module Intervals = Crusade_util.Intervals
-module Disjoint_set = Crusade_util.Disjoint_set
 module Vec = Crusade_util.Vec
 module Text_table = Crusade_util.Text_table
 module Stats = Crusade_util.Stats
@@ -68,40 +66,6 @@ let rng_chance_extremes () =
   let rng = Rng.create 3 in
   check Alcotest.bool "p=0 never" false (Rng.chance rng 0.0);
   check Alcotest.bool "p=1 always" true (Rng.chance rng 1.0)
-
-(* --- Pqueue --- *)
-
-let pqueue_basic () =
-  let q = Pqueue.create ~cmp:compare in
-  check Alcotest.bool "empty" true (Pqueue.is_empty q);
-  List.iter (Pqueue.add q) [ 5; 1; 4; 1; 3 ];
-  check Alcotest.int "length" 5 (Pqueue.length q);
-  check Alcotest.(option int) "peek" (Some 1) (Pqueue.peek q);
-  check Alcotest.(option int) "pop1" (Some 1) (Pqueue.pop q);
-  check Alcotest.(option int) "pop2" (Some 1) (Pqueue.pop q);
-  check Alcotest.(option int) "pop3" (Some 3) (Pqueue.pop q)
-
-let pqueue_pop_exn_empty () =
-  let q = Pqueue.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn on empty"
-    (Invalid_argument "Pqueue.pop_exn: empty queue") (fun () ->
-      ignore (Pqueue.pop_exn q))
-
-let pqueue_sorted_drain =
-  QCheck.Test.make ~name:"Pqueue drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let q = Pqueue.create ~cmp:compare in
-      List.iter (Pqueue.add q) xs;
-      let rec drain acc =
-        match Pqueue.pop q with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
-
-let pqueue_custom_order () =
-  let q = Pqueue.create ~cmp:(fun a b -> compare b a) in
-  List.iter (Pqueue.add q) [ 1; 3; 2 ];
-  check Alcotest.(option int) "max first" (Some 3) (Pqueue.pop q)
 
 (* --- Arith --- *)
 
@@ -275,35 +239,6 @@ let intervals_union_add_invariant =
       let t = Intervals.union (build_intervals xs) (build_intervals ys) in
       let u = Intervals.add t (min a b) (max a b) in
       sorted_disjoint (Intervals.to_list t) && sorted_disjoint (Intervals.to_list u))
-
-(* --- Disjoint_set --- *)
-
-let dsu_basic () =
-  let d = Disjoint_set.create 6 in
-  Disjoint_set.union d 0 1;
-  Disjoint_set.union d 2 3;
-  Disjoint_set.union d 1 2;
-  check Alcotest.bool "same" true (Disjoint_set.same d 0 3);
-  check Alcotest.bool "not same" false (Disjoint_set.same d 0 4);
-  check
-    Alcotest.(list (list int))
-    "groups"
-    [ [ 0; 1; 2; 3 ]; [ 4 ]; [ 5 ] ]
-    (Disjoint_set.groups d)
-
-let dsu_transitive =
-  QCheck.Test.make ~name:"union transitivity" ~count:200
-    QCheck.(small_list (pair (int_range 0 19) (int_range 0 19)))
-    (fun pairs ->
-      let d = Disjoint_set.create 20 in
-      List.iter (fun (a, b) -> Disjoint_set.union d a b) pairs;
-      (* every group's members all find the same root *)
-      List.for_all
-        (fun group ->
-          match group with
-          | [] -> true
-          | root :: _ -> List.for_all (fun x -> Disjoint_set.same d root x) group)
-        (Disjoint_set.groups d))
 
 (* --- Vec --- *)
 
@@ -534,10 +469,6 @@ let suite =
     qcheck rng_int_in_bounds;
     qcheck rng_float_bounds;
     qcheck rng_shuffle_permutation;
-    Alcotest.test_case "pqueue basics" `Quick pqueue_basic;
-    Alcotest.test_case "pqueue pop_exn empty" `Quick pqueue_pop_exn_empty;
-    Alcotest.test_case "pqueue custom order" `Quick pqueue_custom_order;
-    qcheck pqueue_sorted_drain;
     Alcotest.test_case "gcd/lcm" `Quick arith_gcd_lcm;
     Alcotest.test_case "lcm overflow" `Quick arith_lcm_overflow;
     Alcotest.test_case "lcm boundaries" `Quick arith_lcm_boundaries;
@@ -556,8 +487,6 @@ let suite =
     qcheck intervals_overlaps_vs_naive;
     qcheck intervals_span_total;
     qcheck intervals_union_add_invariant;
-    Alcotest.test_case "disjoint set basics" `Quick dsu_basic;
-    qcheck dsu_transitive;
     Alcotest.test_case "vec push/get" `Quick vec_push_get;
     Alcotest.test_case "vec bounds" `Quick vec_bounds;
     Alcotest.test_case "vec deep copy" `Quick vec_map_copy_independent;
